@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet fmt lint api staticadv serve-smoke bench bench-streaming bench-pipeline bench-costmodel cover
+.PHONY: check build test race vet fmt lint api staticadv serve-smoke bench bench-streaming bench-costmodel cover
 
 # check is the tier-1 verify gate (see ROADMAP.md): static checks, the
 # invariant linter suite, the static kernel advisor gate, the public API
@@ -82,16 +82,6 @@ bench-streaming:
 	@echo "== bench-streaming =="
 	$(GO) run ./cmd/drgpum-bench -out BENCH_streaming.json
 	@cat BENCH_streaming.json
-
-# bench-pipeline measures the pipelined intra-run mode against the
-# sequential one (per-workload end-to-end medians) and rewrites
-# BENCH_pipeline.json. The checked-in copy is the current baseline —
-# taken on the CI runner class, gomaxprocs recorded inside; CI re-runs
-# this and publishes the fresh numbers in the step summary.
-bench-pipeline:
-	@echo "== bench-pipeline =="
-	$(GO) run ./cmd/drgpum-bench -pipelined -out BENCH_pipeline.json
-	@cat BENCH_pipeline.json
 
 # bench-costmodel measures what the memory-hierarchy cost model adds to an
 # end-to-end profile (cost-on vs cost-off per-workload medians, overhead

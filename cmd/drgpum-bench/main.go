@@ -9,23 +9,15 @@
 // this as the bench-smoke step's artifact (BENCH_streaming.json); the
 // EXPERIMENTS.md streaming appendix records representative values.
 //
-// With -pipelined it instead measures the pipelined intra-run mode against
-// the sequential one: for each workload in -workloads it profiles the
-// naive variant end-to-end several times per mode and reports the median
-// wall clock (BENCH_pipeline.json, the bench-smoke step's second
-// artifact). Per-workload speedups only materialize when GOMAXPROCS > 1;
-// the emitted gomaxprocs field records what the numbers mean.
-//
-// With -costmodel it measures what the memory-hierarchy cost model adds to
-// an end-to-end profile: for each workload it runs the naive variant with
-// the model enabled (the default) and disabled, and reports the median
-// wall clocks plus the relative overhead (BENCH_costmodel.json, the
-// bench-smoke step's third artifact).
+// With -costmodel it instead measures what the memory-hierarchy cost
+// model adds to an end-to-end profile: for each workload it runs the naive
+// variant with the model enabled (the default) and disabled, and reports
+// the median wall clocks plus the relative overhead (BENCH_costmodel.json,
+// the bench-smoke step's second artifact).
 //
 // Usage:
 //
 //	drgpum-bench [-out BENCH_streaming.json] [-epochs N] [-window N]
-//	drgpum-bench -pipelined [-out BENCH_pipeline.json] [-runs N] [-workloads a,b,...]
 //	drgpum-bench -costmodel [-out BENCH_costmodel.json] [-runs N] [-workloads a,b,...]
 package main
 
@@ -76,28 +68,15 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("drgpum-bench: ")
 	var (
-		out         = flag.String("out", "", "output JSON path (- for stdout; default BENCH_streaming.json, BENCH_pipeline.json with -pipelined, or BENCH_costmodel.json with -costmodel)")
-		epochs      = flag.Int("epochs", 64, "training-loop epochs (one kernel each)")
-		window      = flag.Int("window", 8, "streaming kernel-epoch length")
-		pipelined   = flag.Bool("pipelined", false, "benchmark pipelined vs sequential end-to-end profiling instead of streaming")
-		pipelineOld = flag.Bool("pipeline", false, "deprecated alias for -pipelined")
-		costmodel   = flag.Bool("costmodel", false, "benchmark cost-model-on vs cost-model-off end-to-end profiling instead of streaming")
-		runs        = flag.Int("runs", 5, "with -pipelined or -costmodel: runs per workload per mode (the median is reported)")
-		names       = flag.String("workloads", "minimdock,polybench/2mm,rodinia/huffman,simplemulticopy", "with -pipelined or -costmodel: comma-separated workloads")
+		out       = flag.String("out", "", "output JSON path (- for stdout; default BENCH_streaming.json, or BENCH_costmodel.json with -costmodel)")
+		epochs    = flag.Int("epochs", 64, "training-loop epochs (one kernel each)")
+		window    = flag.Int("window", 8, "streaming kernel-epoch length")
+		costmodel = flag.Bool("costmodel", false, "benchmark cost-model-on vs cost-model-off end-to-end profiling instead of streaming")
+		runs      = flag.Int("runs", 5, "with -costmodel: runs per workload per mode (the median is reported)")
+		names     = flag.String("workloads", "minimdock,polybench/2mm,rodinia/huffman,simplemulticopy", "with -costmodel: comma-separated workloads")
 	)
 	flag.Parse()
-	if *pipelineOld {
-		fmt.Fprintln(os.Stderr, "drgpum-bench: -pipeline is deprecated, use -pipelined")
-		*pipelined = true
-	}
 
-	if *pipelined {
-		if *out == "" {
-			*out = "BENCH_pipeline.json"
-		}
-		writeJSON(*out, benchPipeline(strings.Split(*names, ","), *runs))
-		return
-	}
 	if *costmodel {
 		if *out == "" {
 			*out = "BENCH_costmodel.json"
@@ -144,90 +123,10 @@ func writeJSON(path string, v any) {
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 }
 
-// PipelineResult is the JSON document the -pipeline mode emits.
-type PipelineResult struct {
-	// GOMAXPROCS records the parallelism the numbers were taken under: on
-	// a single-CPU runner the pipelined consumer and shard workers time-
-	// share one core with the simulator, so parity (not speedup) is the
-	// expected reading.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// Runs is the per-mode sample count behind each median.
-	Runs int `json:"runs"`
-	// Shards is the intra-run shard-worker count the pipelined runs used.
-	Shards    int                `json:"shards"`
-	Workloads []WorkloadPipeline `json:"workloads"`
-}
-
-// WorkloadPipeline is one workload's sequential-vs-pipelined medians.
-type WorkloadPipeline struct {
-	Name string `json:"name"`
-	// SequentialNs and PipelinedNs are median end-to-end wall times
-	// (attach through Finish, analysis included) over Runs runs.
-	SequentialNs int64 `json:"sequential_ns"`
-	PipelinedNs  int64 `json:"pipelined_ns"`
-	// Speedup is SequentialNs / PipelinedNs.
-	Speedup float64 `json:"speedup"`
-}
-
-// benchPipeline measures each workload end-to-end under both modes. The
-// pipelined runs use the same shard budget a single run gets from the
-// engine: the cores left after the simulating goroutine, capped at four.
-func benchPipeline(names []string, runs int) PipelineResult {
-	shards := runtime.GOMAXPROCS(0) - 1
-	if shards < 0 {
-		shards = 0
-	}
-	if shards > 4 {
-		shards = 4
-	}
-	res := PipelineResult{GOMAXPROCS: runtime.GOMAXPROCS(0), Runs: runs, Shards: shards}
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		w, ok := workloads.Lookup(name)
-		if !ok {
-			log.Fatalf("unknown workload %q", name)
-		}
-		wp := WorkloadPipeline{Name: name}
-		wp.SequentialNs = medianRun(w, false, 0, runs)
-		wp.PipelinedNs = medianRun(w, true, shards, runs)
-		if wp.PipelinedNs > 0 {
-			wp.Speedup = float64(wp.SequentialNs) / float64(wp.PipelinedNs)
-		}
-		res.Workloads = append(res.Workloads, wp)
-	}
-	return res
-}
-
-// medianRun profiles one workload `runs` times under one mode and returns
-// the median wall time. Each run builds a fresh device (the clock starts
-// after construction, matching the overhead methodology) and includes
-// Finish's analysis — the end-to-end cost a CLI user waits for.
-func medianRun(w *workloads.Workload, pipelined bool, shards, runs int) int64 {
-	walls := make([]int64, 0, runs)
-	for i := 0; i < runs; i++ {
-		dev := gpu.NewDevice(gpu.SpecRTX3090())
-		cfg := core.IntraObjectConfig()
-		cfg.KernelWhitelist = w.IntraKernels
-		if pipelined {
-			cfg.PipelinedIngest = true
-			cfg.PipelineShards = shards
-		}
-		start := time.Now()
-		prof := core.Attach(dev, cfg)
-		if err := w.Run(dev, prof, workloads.VariantNaive); err != nil {
-			log.Fatalf("%s: %v", w.Name, err)
-		}
-		prof.Finish()
-		walls = append(walls, time.Since(start).Nanoseconds())
-	}
-	sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-	return walls[len(walls)/2]
-}
-
 // CostModelResult is the JSON document the -costmodel mode emits.
 type CostModelResult struct {
-	// GOMAXPROCS and Runs record the measurement conditions as in
-	// PipelineResult.
+	// GOMAXPROCS records the parallelism the numbers were taken under;
+	// Runs is the per-mode sample count behind each median.
 	GOMAXPROCS int                 `json:"gomaxprocs"`
 	Runs       int                 `json:"runs"`
 	Workloads  []WorkloadCostModel `json:"workloads"`
@@ -271,9 +170,12 @@ func benchCostModel(names []string, runs int) CostModelResult {
 	return res
 }
 
-// medianCostRun is medianRun with the cost model toggled instead of the
-// ingest pipeline. It also returns the final run's total modeled cycles
-// (zero with the model off).
+// medianCostRun profiles one workload `runs` times with the cost model on
+// or off and returns the median wall time. Each run builds a fresh device
+// (the clock starts after construction, matching the overhead methodology)
+// and includes Finish's analysis — the end-to-end cost a CLI user waits
+// for. It also returns the final run's total modeled cycles (zero with the
+// model off).
 func medianCostRun(w *workloads.Workload, costOn bool, runs int) (int64, uint64) {
 	walls := make([]int64, 0, runs)
 	var cycles uint64

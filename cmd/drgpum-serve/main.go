@@ -42,6 +42,27 @@ import (
 	"drgpum/internal/serve"
 )
 
+// Connection timeouts of the daemon's http.Server. A client that trickles
+// its request headers is cut off after readHeaderTimeout, and an idle
+// keep-alive connection is closed after idleTimeout, so stalled or
+// abandoned clients cannot pin connections (and their goroutines) forever.
+// Request bodies and responses are not bounded: submissions are small, and
+// report downloads may legitimately be large.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the API handler in an http.Server with the daemon's
+// connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("drgpum-serve: ")
@@ -89,7 +110,7 @@ func run(addr string, capacity int, ttl, sweepEvery time.Duration, smoke bool) e
 		}
 	}()
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

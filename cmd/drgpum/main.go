@@ -7,7 +7,7 @@
 //
 //	drgpum -workload rodinia/huffman [-variant naive|optimized]
 //	       [-device rtx3090|a100] [-mode object|intra] [-sampling N]
-//	       [-stream] [-window N] [-heatmap] [-pipelined]
+//	       [-stream] [-window N] [-heatmap]
 //	       [-json] [-verbose] [-timeline] [-memcheck] [-stats]
 //	       [-gui liveness.json] [-html report.html] [-save profile.json]
 //	drgpum -workload polybench/2mm -diff
@@ -36,34 +36,26 @@ func main() {
 	log.SetPrefix("drgpum: ")
 
 	var (
-		workload    = flag.String("workload", "", "workload to profile (see -list)")
-		variant     = flag.String("variant", "naive", "naive or optimized")
-		device      = flag.String("device", "rtx3090", "rtx3090 or a100")
-		mode        = flag.String("mode", "intra", "analysis granularity: object or intra")
-		sampling    = flag.Int("sampling", 1, "intra-object kernel sampling period")
-		jsonOut     = flag.Bool("json", false, "emit the report as JSON")
-		guiPath     = flag.String("gui", "", "write a Perfetto trace (liveness.json) to this path")
-		htmlPath    = flag.String("html", "", "write a self-contained HTML report to this path")
-		savePath    = flag.String("save", "", "save the profile for offline re-analysis (drgpum-analyze)")
-		verbose     = flag.Bool("verbose", false, "include call paths and peak object lists")
-		list        = flag.Bool("list", false, "list available workloads and exit")
-		memcheck    = flag.Bool("memcheck", false, "attach the memory-safety checker (OOB, use-after-free, uninitialized reads, leaks)")
-		stats       = flag.Bool("stats", false, "enable self-observability and print the profiler's own phase/counter summary after the report")
-		diff        = flag.Bool("diff", false, "profile both variants and summarize the optimization outcome")
-		timeline    = flag.Bool("timeline", false, "draw the object-lifetime timeline (the paper's Figure 2 view) after the report")
-		stream      = flag.Bool("stream", false, "stream the analysis: finalize per kernel-epoch with bounded collector memory (same report, plus a temporal heat map)")
-		window      = flag.Int("window", 0, "streaming kernel-epoch length (0 = default)")
-		heatmap     = flag.Bool("heatmap", false, "draw the temporal heat map after the report (implies -stream)")
-		pipelined   = flag.Bool("pipelined", false, "pipeline the run: simulate and ingest concurrently with sharded intra-object accumulation (identical report, lower wall clock)")
-		pipelineOld = flag.Bool("pipeline", false, "deprecated alias for -pipelined")
+		workload = flag.String("workload", "", "workload to profile (see -list)")
+		variant  = flag.String("variant", "naive", "naive or optimized")
+		device   = flag.String("device", "rtx3090", "rtx3090 or a100")
+		mode     = flag.String("mode", "intra", "analysis granularity: object or intra")
+		sampling = flag.Int("sampling", 1, "intra-object kernel sampling period")
+		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
+		guiPath  = flag.String("gui", "", "write a Perfetto trace (liveness.json) to this path")
+		htmlPath = flag.String("html", "", "write a self-contained HTML report to this path")
+		savePath = flag.String("save", "", "save the profile for offline re-analysis (drgpum-analyze)")
+		verbose  = flag.Bool("verbose", false, "include call paths and peak object lists")
+		list     = flag.Bool("list", false, "list available workloads and exit")
+		memcheck = flag.Bool("memcheck", false, "attach the memory-safety checker (OOB, use-after-free, uninitialized reads, leaks)")
+		stats    = flag.Bool("stats", false, "enable self-observability and print the profiler's own phase/counter summary after the report")
+		diff     = flag.Bool("diff", false, "profile both variants and summarize the optimization outcome")
+		timeline = flag.Bool("timeline", false, "draw the object-lifetime timeline (the paper's Figure 2 view) after the report")
+		stream   = flag.Bool("stream", false, "stream the analysis: finalize per kernel-epoch with bounded collector memory (same report, plus a temporal heat map)")
+		window   = flag.Int("window", 0, "streaming kernel-epoch length (0 = default)")
+		heatmap  = flag.Bool("heatmap", false, "draw the temporal heat map after the report (implies -stream)")
 	)
 	flag.Parse()
-	if *pipelineOld {
-		// -pipeline predates the Config.PipelinedIngest / serve "pipelined"
-		// naming; it keeps working but -pipelined is the canonical spelling.
-		fmt.Fprintln(os.Stderr, "drgpum: -pipeline is deprecated, use -pipelined")
-		*pipelined = true
-	}
 
 	if *list {
 		for _, name := range workloads.Names() {
@@ -130,7 +122,6 @@ func main() {
 			Sampling:  *sampling,
 			Streaming: *stream,
 			Window:    *window,
-			Pipelined: *pipelined,
 			Opts:      engine.RunOpts{Memcheck: *memcheck},
 		}})
 		if rerr != nil {
@@ -139,7 +130,7 @@ func main() {
 		rep = res[0].Report
 	} else {
 		rep, err = tables.ProfileWith(w, spec, v, level, *sampling,
-			tables.ProfileOpts{Memcheck: *memcheck, Stream: *stream, Window: *window, Pipelined: *pipelined})
+			tables.ProfileOpts{Memcheck: *memcheck, Stream: *stream, Window: *window})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,7 +13,7 @@
 // actionable optimization suggestions.
 //
 // A deterministic memory-hierarchy cost model (on by default; see
-// WithCostModel, WithoutCostModel and DESIGN.md §4.10) additionally prices
+// WithCostModel, WithoutCostModel and DESIGN.md §4.9) additionally prices
 // every finding in modeled cycles: per-warp accesses are coalesced into
 // memory transactions and played through set-associative L1/L2 caches and
 // a TLB-reach check, findings gain ModeledCycles/CyclesSaved, the advice
@@ -84,7 +84,7 @@ type Report = core.Report
 type Finding = pattern.Finding
 
 // Pattern enumerates the inefficiency patterns: the ten of the paper's §3
-// plus the repo's uncoalesced-access extension (DESIGN.md §4.10).
+// plus the repo's uncoalesced-access extension (DESIGN.md §4.9).
 type Pattern = pattern.Pattern
 
 // The inefficiency patterns, in the paper's Table 1 order, followed by the
@@ -102,7 +102,7 @@ const (
 	StructuredAccess          = pattern.StructuredAccess
 	// UncoalescedAccess is the cost model's traffic pattern: a kernel whose
 	// per-warp memory transactions far exceed the coalesced ideal. A repo
-	// extension beyond the paper's ten (DESIGN.md §4.10).
+	// extension beyond the paper's ten (DESIGN.md §4.9).
 	UncoalescedAccess = pattern.UncoalescedAccess
 )
 
@@ -137,7 +137,7 @@ const (
 type Advice = core.Advice
 
 // CostModelSpec parameterizes the deterministic memory-hierarchy cost
-// model (DESIGN.md §4.10): warp-coalescing geometry, L1/L2 cache shapes,
+// model (DESIGN.md §4.9): warp-coalescing geometry, L1/L2 cache shapes,
 // TLB reach and latencies. See costmodel.Spec; the zero value derives a
 // device-appropriate spec at attach time.
 type CostModelSpec = costmodel.Spec
@@ -320,18 +320,6 @@ func WithCostModel(spec CostModelSpec) Option {
 // to the byte-ranked severity ordering of earlier releases.
 func WithoutCostModel() Option {
 	return func(c *Config) { c.CostModel.Disabled = true }
-}
-
-// WithPipelinedIngest decouples simulation from ingestion inside the run:
-// the device hands filled access batches to a dedicated consumer goroutine
-// over a bounded double-buffered channel and keeps simulating while the
-// hooks work, and — at intra-object granularity with Config.PipelineShards
-// set — per-object accumulation shards across a small worker set merged at
-// kernel-epoch boundaries. The report is byte-identical to the default
-// synchronous ingestion (the pipelined determinism tests pin this); the
-// win is single-run wall clock on idle cores.
-func WithPipelinedIngest() Option {
-	return func(c *Config) { c.PipelinedIngest = true }
 }
 
 // Attach hooks a profiler up to a device and enables instrumentation at the

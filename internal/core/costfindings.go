@@ -10,7 +10,7 @@ import (
 
 // detectUncoalesced scans the per-object cost aggregates for objects whose
 // kernel traffic issues substantially more memory transactions than the
-// coalesced ideal (DESIGN.md §4.10). The aggregates were accumulated at
+// coalesced ideal (DESIGN.md §4.9). The aggregates were accumulated at
 // OnAPI arrival with commutative sums, so the scan sees identical values in
 // every profiling mode, and objects are visited in ID order, so the finding
 // list is deterministic.
@@ -87,7 +87,7 @@ func avgTransactionCycles(c costmodel.ObjectCost, spec costmodel.Spec) uint64 {
 }
 
 // attachCycles decorates a finding with the cost model's cycle estimates
-// (DESIGN.md §4.10). ModeledCycles is what the object's kernel traffic
+// (DESIGN.md §4.9). ModeledCycles is what the object's kernel traffic
 // costs today; CyclesSaved is the closed-form estimate of the benefit of
 // applying the finding's suggestion:
 //

@@ -72,22 +72,8 @@ type Config struct {
 	// reports stay byte-identical to the offline pipeline; see
 	// StreamingConfig.
 	Streaming StreamingConfig
-	// PipelinedIngest decouples simulation from ingestion inside the run:
-	// the device hands filled access batches to a dedicated consumer
-	// goroutine over a bounded double-buffered channel and keeps simulating
-	// while the hooks work. Reports are byte-identical to synchronous
-	// ingestion (the pipelined determinism tests pin this); the win is
-	// wall-clock overlap on idle cores.
-	PipelinedIngest bool
-	// PipelineShards is the number of intra-object shard-worker goroutines
-	// used when PipelinedIngest is set: per-object accumulation is routed
-	// by ObjectID to the owning worker and merged at kernel-epoch
-	// boundaries. 0 keeps accumulation on the consumer goroutine. The
-	// engine derives this from its run-level worker budget so -j does not
-	// oversubscribe. Reports are byte-identical for any value.
-	PipelineShards int
 	// CostModel configures the memory-hierarchy cost model (DESIGN.md
-	// §4.10). The model is on by default: kernels account per-warp
+	// §4.9). The model is on by default: kernels account per-warp
 	// transactions against a modeled L1/L2/DRAM hierarchy, every finding
 	// carries a ModeledCycles/CyclesSaved estimate, severity ranks by
 	// cycles saved, and the uncoalesced-access detector runs.
@@ -162,14 +148,10 @@ type Profiler struct {
 	// each cumulative device statistic has already been published, so
 	// repeated analyze passes (Snapshot then Finish) add deltas instead of
 	// double-counting on a shared recorder.
-	obs           *obs.Recorder
-	allocOpsPub   uint64
-	evictPub      uint64
-	checkedPub    uint64
-	pipeBatchPub  uint64
-	pipeDepthPub  uint64
-	shardTasksPub uint64
-	shardsPub     uint64
+	obs         *obs.Recorder
+	allocOpsPub uint64
+	evictPub    uint64
+	checkedPub  uint64
 }
 
 // Attach hooks a profiler up to the device and enables instrumentation at
@@ -219,15 +201,6 @@ func Attach(dev *gpu.Device, cfg Config) *Profiler {
 		dev.AddHook(p.window)
 	}
 	dev.SetPatchLevel(cfg.Level)
-	if cfg.PipelinedIngest {
-		// Last, after every hook is registered: the pipeline consumer
-		// snapshots the hook list. Shard workers only make sense with the
-		// pipeline in front of them (the router runs on its consumer).
-		if p.recorder != nil && cfg.PipelineShards > 0 {
-			p.recorder.StartShards(cfg.PipelineShards)
-		}
-		dev.StartPipelinedIngest()
-	}
 	attachSpan.End()
 	return p
 }
@@ -300,17 +273,9 @@ func (p *Profiler) Collector() *trace.Collector { return p.collector }
 // report. It is idempotent in effect but must not race with device use.
 func (p *Profiler) Finish() *Report {
 	p.dev.SetPatchLevel(gpu.PatchNone)
-	// Tear down outside-in: join the batch consumer first (no more batches
-	// can arrive), then close the trailing window (which drains the shard
-	// workers at its merge point), then join the shard workers so analysis
-	// reads settled per-object state.
-	p.dev.StopPipelinedIngest()
 	if p.window != nil {
 		// Close the trailing partial window; no more APIs can arrive.
 		p.window.finish()
-	}
-	if p.recorder != nil {
-		p.recorder.StopIngest()
 	}
 	return p.analyze()
 }
@@ -518,24 +483,6 @@ func (p *Profiler) publishCounters(rep *Report, pk *peak.Analysis) {
 	if rep.Memcheck != nil {
 		p.obs.AddNamed("memcheck/reads checked", rep.Memcheck.AccessesChecked-p.checkedPub)
 		p.checkedPub = rep.Memcheck.AccessesChecked
-	}
-	if p.cfg.PipelinedIngest {
-		ps := p.dev.PipelineStats()
-		p.obs.AddNamed(obs.NamedPipelineBatches, ps.Batches-p.pipeBatchPub)
-		p.pipeBatchPub = ps.Batches
-		if hw := uint64(ps.DepthHighWater); hw > p.pipeDepthPub {
-			p.obs.AddNamed(obs.NamedPipelineDepthHW, hw-p.pipeDepthPub)
-			p.pipeDepthPub = hw
-		}
-		if p.recorder != nil {
-			is := p.recorder.IngestStats()
-			p.obs.AddNamed(obs.NamedPipelineShardTasks, is.Tasks-p.shardTasksPub)
-			p.shardTasksPub = is.Tasks
-			if sh := uint64(is.Shards); sh > p.shardsPub {
-				p.obs.AddNamed(obs.NamedPipelineShards, sh-p.shardsPub)
-				p.shardsPub = sh
-			}
-		}
 	}
 }
 

@@ -170,12 +170,6 @@ func (wm *windowManager) OnAccessBatch(*gpu.APIRecord, []gpu.MemAccess) {}
 // record its heat epoch, compact the access lists of its touched objects,
 // and retire its API records.
 func (wm *windowManager) closeWindow(upTo uint64) {
-	// A window close is the kernel-epoch merge point for sharded pipelined
-	// ingestion: drain the shard workers and fold their counters before
-	// retiring the window, so seal/retire act on settled per-object state.
-	if wm.recorder != nil {
-		wm.recorder.SyncIngest()
-	}
 	cells := make([]HeatCell, 0, len(wm.curCells))
 	for id, n := range wm.curCells {
 		cells = append(cells, HeatCell{Object: id, Touches: n, ExcessTransactions: wm.curExcess[id]})

@@ -1,6 +1,6 @@
 // Package costmodel implements a deterministic, closed-form memory-
 // hierarchy cost model for the simulated GPU (ROADMAP item 3, DESIGN.md
-// §4.10).
+// §4.9).
 //
 // The model converts the per-object access streams the simulator already
 // records into the quantities that dominate realized GPU memory cost:
@@ -18,9 +18,9 @@
 //
 // Everything is integer arithmetic over the recorded addresses — no
 // clocks, no randomness — so the model is byte-identical across the
-// sequential, parallel, pipelined and streaming profiling modes: the
-// simulator executes kernel bodies synchronously on the calling
-// goroutine in every mode, and the tracker only ever runs there.
+// sequential, parallel and streaming profiling modes: the simulator
+// executes kernel bodies synchronously on the calling goroutine in every
+// mode, and the tracker only ever runs there.
 //
 // The package is deliberately pure: it knows nothing about the gpu or
 // trace packages (addresses are plain uint64), which is what lets the
@@ -62,7 +62,7 @@ type Spec struct {
 
 	// CopyBytesPerCycle mirrors the device's copy bandwidth and is used
 	// by the byte→cycle closed forms for lifetime findings (DESIGN.md
-	// §4.10).
+	// §4.9).
 	CopyBytesPerCycle uint64
 	// MallocCycles and FreeCycles mirror the device's allocation API
 	// costs, used by the closed forms for redundant/unused allocations.

@@ -107,14 +107,6 @@ type RunSpec struct {
 	// (<= 0 selects the core default).
 	Streaming bool
 	Window    int
-	// Pipelined runs a ModeProfile body with intra-run pipelined ingestion
-	// (core.Config.PipelinedIngest): simulation and hook consumption
-	// overlap, and intra-object accumulation shards across a worker budget
-	// the engine derives from its own pool size so run-level and intra-run
-	// parallelism never oversubscribe. Reports are byte-identical either
-	// way; pipelined runs still get their own cache entries so a cached
-	// synchronous profile never masks the pipelined execution path.
-	Pipelined bool
 	Opts      RunOpts
 }
 
@@ -206,12 +198,6 @@ type key struct {
 	sampling  int
 	streaming bool
 	window    int
-	// pipelined is in the key even though reports are byte-identical, so
-	// the pipelined execution path really executes when asked for (a cache
-	// hit from a synchronous run would silently skip it). The shard count
-	// is deliberately NOT in the key: results are independent of it by
-	// construction.
-	pipelined bool
 	memcheck  bool
 }
 
@@ -225,7 +211,6 @@ func keyOf(s RunSpec) key {
 		sampling:  s.Sampling,
 		streaming: s.Streaming,
 		window:    s.Window,
-		pipelined: s.Pipelined,
 		memcheck:  s.Opts.Memcheck,
 	}
 }
@@ -264,25 +249,6 @@ func (e *Engine) workers(n int) int {
 	return w
 }
 
-// shardBudget splits the machine between the run-level pool and intra-run
-// shard workers: with nw runs in flight, each pipelined run may use the
-// cores left after every run got one for its producer/consumer pair,
-// capped at 4 (beyond that the single span router is the bottleneck). 0
-// means pipelined runs keep intra-object accumulation on the consumer
-// goroutine — the right answer on a machine the run pool already
-// saturates. Reports are byte-identical for any budget; only wall clock
-// moves.
-func shardBudget(nw int) int {
-	s := runtime.GOMAXPROCS(0)/nw - 1
-	if s < 0 {
-		s = 0
-	}
-	if s > 4 {
-		s = 4
-	}
-	return s
-}
-
 // Run executes every spec and returns the results in submission order,
 // plus the first error (in submission order, not completion order) if
 // any run failed. The result slice is always fully populated, so callers
@@ -309,12 +275,10 @@ func (e *Engine) RunWithStats(specs []RunSpec) ([]Result, Stats, error) {
 	results := make([]Result, len(specs))
 	kinds := make([]runKind, len(specs))
 	if nw := e.workers(len(specs)); e.cfg.Sequential || nw == 1 {
-		shards := shardBudget(1)
 		for i := range specs {
-			results[i], kinds[i] = e.runOne(specs[i], shards)
+			results[i], kinds[i] = e.runOne(specs[i])
 		}
 	} else {
-		shards := shardBudget(nw)
 		sem := make(chan struct{}, nw)
 		var wg sync.WaitGroup
 		for i := range specs {
@@ -322,7 +286,7 @@ func (e *Engine) RunWithStats(specs []RunSpec) ([]Result, Stats, error) {
 			sem <- struct{}{}
 			go func(i int) {
 				defer wg.Done()
-				results[i], kinds[i] = e.runOne(specs[i], shards)
+				results[i], kinds[i] = e.runOne(specs[i])
 				<-sem
 			}(i)
 		}
@@ -369,8 +333,7 @@ const (
 
 // runOne resolves one spec: timed runs go straight to the exclusive
 // lane; untimed runs consult the cache with singleflight semantics.
-// shards is the batch's intra-run shard-worker budget (shardBudget).
-func (e *Engine) runOne(s RunSpec, shards int) (Result, runKind) {
+func (e *Engine) runOne(s RunSpec) (Result, runKind) {
 	e.mu.Lock()
 	e.stats.Runs++
 	e.cfg.Obs.Add(obs.CtrEngineRuns, 1)
@@ -378,9 +341,7 @@ func (e *Engine) runOne(s RunSpec, shards int) (Result, runKind) {
 		e.stats.Timed++
 		e.cfg.Obs.Add(obs.CtrEngineTimed, 1)
 		e.mu.Unlock()
-		// A timed run executes alone on the exclusive lane, so it may use
-		// the whole machine regardless of the batch's pool size.
-		return e.execTimed(s, shardBudget(1)), runTimed
+		return e.execTimed(s), runTimed
 	}
 	k := keyOf(s)
 	if ent, ok := e.cache[k]; ok {
@@ -403,20 +364,20 @@ func (e *Engine) runOne(s RunSpec, shards int) (Result, runKind) {
 	e.stats.Misses++
 	e.cfg.Obs.Add(obs.CtrEngineMisses, 1)
 	e.mu.Unlock()
-	ent.res = e.execShared(s, shards)
+	ent.res = e.execShared(s)
 	close(ent.done)
 	return ent.res, runMiss
 }
 
 // execShared runs an untimed body under the read side of the lane:
 // untimed runs overlap each other but never a timed run.
-func (e *Engine) execShared(s RunSpec, shards int) Result {
+func (e *Engine) execShared(s RunSpec) Result {
 	e.lane.RLock()
 	defer e.lane.RUnlock()
 	if e.hookStart != nil {
 		e.hookStart(s)
 	}
-	res := e.execObserved(s, shards)
+	res := e.execObserved(s)
 	if e.hookEnd != nil {
 		e.hookEnd(s)
 	}
@@ -429,14 +390,14 @@ func (e *Engine) execShared(s RunSpec, shards int) Result {
 // worker ran it), the execution is timed under an engine/<mode> span on
 // the master, and the run's snapshot is merged in afterwards. Merging is
 // pure addition, so the aggregate is independent of completion order.
-func (e *Engine) execObserved(s RunSpec, shards int) Result {
+func (e *Engine) execObserved(s RunSpec) Result {
 	master := e.cfg.Obs
 	if !master.Enabled() {
-		return runDetached(s, nil, shards)
+		return runDetached(s, nil)
 	}
 	runRec := obs.New()
 	sp := master.Root().Child("engine").Child(s.Mode.String()).Start()
-	res := runDetached(s, runRec, shards)
+	res := runDetached(s, runRec)
 	sp.End()
 	master.Merge(runRec.Snapshot())
 	return res
@@ -445,13 +406,13 @@ func (e *Engine) execObserved(s RunSpec, shards int) Result {
 // execTimed runs a wall-clock-sensitive body alone: the write side of
 // the lane waits out every in-flight untimed run and holds back new ones
 // (and other timed runs) until the measurement finishes.
-func (e *Engine) execTimed(s RunSpec, shards int) Result {
+func (e *Engine) execTimed(s RunSpec) Result {
 	e.lane.Lock()
 	defer e.lane.Unlock()
 	if e.hookStart != nil {
 		e.hookStart(s)
 	}
-	res := e.execObserved(s, shards)
+	res := e.execObserved(s)
 	if e.hookEnd != nil {
 		e.hookEnd(s)
 	}

@@ -142,16 +142,11 @@ type Device struct {
 
 	batch []MemAccess
 
-	// pipe, when non-nil, routes flushed access batches to a consumer
-	// goroutine instead of running hooks inline (see pipeline.go).
-	pipe      *accessPipeline
-	pipeStats PipelineStats
-
 	// costSpec/costL2 carry the memory-hierarchy cost model when enabled:
 	// per-launch trackers derive from costSpec and share the persistent
 	// costL2. Both are only touched on the launching goroutine (kernel
 	// bodies always execute inline), which keeps the model byte-identical
-	// across the sequential/pipelined/streaming profiling modes.
+	// across the sequential/streaming profiling modes.
 	costOn   bool
 	costSpec costmodel.Spec
 	costL2   *costmodel.Cache
@@ -226,7 +221,7 @@ func (d *Device) SetInstrumentFilter(f func(kernel string, launch uint64) bool) 
 	d.instrument = f
 }
 
-// SetCostModel enables the memory-hierarchy cost model (DESIGN.md §4.10)
+// SetCostModel enables the memory-hierarchy cost model (DESIGN.md §4.9)
 // for subsequent kernel launches: per-warp coalescing over each launch's
 // hit table, a per-launch L1 and a persistent L2, parameterized by spec.
 // Kernel records gain a Cost field; the simulated clock is unchanged (the

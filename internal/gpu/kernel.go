@@ -294,14 +294,9 @@ func (d *Device) pushAccess(rec *APIRecord, a MemAccess) {
 }
 
 // flushAccesses delivers the buffered accesses to hooks and resets the
-// buffer. With a pipeline active the filled batch is handed to the consumer
-// goroutine and the device keeps simulating into a recycled buffer.
+// buffer.
 func (d *Device) flushAccesses(rec *APIRecord) {
 	if len(d.batch) == 0 {
-		return
-	}
-	if p := d.pipe; p != nil {
-		d.batch = p.send(rec, d.batch)
 		return
 	}
 	for _, h := range d.hooks {
@@ -359,13 +354,6 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 
 	k.Run(ctx)
 	d.flushAccesses(rec)
-	if d.pipe != nil {
-		// Drain before folding hit flags and emitting OnAPI: every
-		// OnAccessBatch for this kernel must precede its OnAPI, and the
-		// pipeline must be idle whenever application code runs between
-		// APIs (see pipeline.go's ordering contract).
-		d.pipe.drain()
-	}
 
 	if d.patch >= PatchAPI {
 		if ctx.hostTrace {

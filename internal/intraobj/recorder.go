@@ -89,13 +89,6 @@ type objState struct {
 	// freezes a freed object (Seal): derived values are precomputed and the
 	// O(elements) buffers released.
 	sealed *sealedState
-
-	// routerActive/routerSealed are the sharded router's mirrors of
-	// curActive/sealed. The router goroutine owns them exclusively;
-	// curActive and sealed are written by the shard worker that owns this
-	// object, so the router must not read those while workers run.
-	routerActive bool
-	routerSealed bool
 }
 
 type spilledAccess struct {
@@ -145,17 +138,10 @@ type Recorder struct {
 	// kernel finalization).
 	obsRec       *obs.Recorder
 	finalizeNode *obs.Node
-	mergeNode    *obs.Node
 	spillTotal   uint64 // coalesced host-mode spill records replayed
 	wordTotal    uint64 // access-bitmap words covered by finalized windows
 	spillPub     uint64 // portion of spillTotal already published
 	wordPub      uint64 // portion of wordTotal already published
-
-	// sharded, when non-nil, routes ingestion through per-shard worker
-	// goroutines (see shard.go); shardStats preserves the hand-off totals
-	// after StopIngest tears the workers down.
-	sharded    *shardedIngest
-	shardStats IngestStats
 }
 
 var _ trace.AccessSink = (*Recorder)(nil)
@@ -180,7 +166,6 @@ func (r *Recorder) SetObs(rec *obs.Recorder) {
 	if root := rec.Root(); root != nil {
 		r.obsRec = rec
 		r.finalizeNode = root.Child("ingest").Child("finalize")
-		r.mergeNode = root.Child("ingest").Child("merge")
 	}
 }
 
@@ -246,10 +231,6 @@ func (r *Recorder) beginAccess(o *trace.Object, rec *gpu.APIRecord) *objState {
 
 // ObjectAccess implements trace.AccessSink.
 func (r *Recorder) ObjectAccess(o *trace.Object, rec *gpu.APIRecord, a gpu.MemAccess) {
-	if r.sharded != nil {
-		r.sharded.routeOne(o, rec, a)
-		return
-	}
 	st := r.beginAccess(o, rec)
 	es := uint64(o.ElemSize)
 	if es == 0 {
@@ -269,10 +250,6 @@ func (r *Recorder) ObjectAccess(o *trace.Object, rec *gpu.APIRecord, a gpu.MemAc
 // lookup, activation check and mode branch once instead of per access.
 func (r *Recorder) ObjectAccessRun(o *trace.Object, rec *gpu.APIRecord, run []gpu.MemAccess) {
 	if len(run) == 0 {
-		return
-	}
-	if r.sharded != nil {
-		r.sharded.route(o, rec, run)
 		return
 	}
 	st := r.beginAccess(o, rec)
@@ -402,10 +379,7 @@ func (r *Recorder) finalizeAPI() {
 }
 
 // finalizeObj closes out one object's per-API maps and returns the spill
-// and bitmap-word counts it consumed, so callers (the sequential
-// finalizeAPI loop and the shard workers) accumulate them locally. It
-// touches only this object's state — the property that lets distinct
-// objects finalize on distinct workers.
+// and bitmap-word counts it consumed, which finalizeAPI accumulates.
 func (st *objState) finalizeObj() (spills, words uint64) {
 	spills = uint64(len(st.spill))
 	for _, s := range st.spill {
@@ -459,12 +433,7 @@ func (st *objState) finalizeObj() (spills, words uint64) {
 // double-counting on a recorder shared across runs). The profiler calls it
 // once collection ends, before detection.
 func (r *Recorder) Flush() {
-	if r.sharded != nil {
-		r.sharded.closeAPI()
-		r.sharded.sync()
-	} else {
-		r.finalizeAPI()
-	}
+	r.finalizeAPI()
 	r.haveAPI = false
 	if r.obsRec != nil {
 		r.obsRec.Add(obs.CtrSpillRecords, r.spillTotal-r.spillPub)

@@ -5,23 +5,16 @@ import (
 )
 
 // hookMethodNames are the Sanitizer-analog callback entry points: the
-// gpu.Hook interface (OnAPI, OnAccessBatch), the trace access-sink
-// extensions (ObjectAccess, ObjectAccessRun), and the pipelined-ingest
-// consumer loops (runPipeline, runShard) — goroutines that execute hook
-// work asynchronously while the simulator keeps running, where re-entry
-// is not just a corrupted record but a deadlock (the consumer would wait
-// on the very drain barrier the mutating API needs). Matching is by
-// method name — the callback naming convention is itself part of the
-// contract, which is why the pipeline and shard-worker loops are *named*
-// runPipeline/runShard — so the analyzer works on implementations in any
-// package without needing the interface's type information.
+// gpu.Hook interface (OnAPI, OnAccessBatch) and the trace access-sink
+// extensions (ObjectAccess, ObjectAccessRun). Matching is by method name —
+// the callback naming convention is itself part of the contract — so the
+// analyzer works on implementations in any package without needing the
+// interface's type information.
 var hookMethodNames = map[string]bool{
 	"OnAPI":           true,
 	"OnAccessBatch":   true,
 	"ObjectAccess":    true,
 	"ObjectAccessRun": true,
-	"runPipeline":     true,
-	"runShard":        true,
 }
 
 // deviceMutators are the gpu.Device methods that advance simulator state:

@@ -120,77 +120,3 @@ func launchElsewhere(dev *gpu.Device) error {
 	}
 	return dev.Free(ptr)
 }
-
-// The pipelined-ingest consumer shapes: runPipeline/runShard are the
-// named consumer-goroutine loops of the intra-run pipeline (the naming
-// convention is the analyzer's matching contract). They execute hook
-// work asynchronously while the simulator keeps running, so re-entering
-// a Device or pool mutator from one is not just a corrupted record — the
-// mutator's drain barrier waits on the very goroutine making the call.
-
-// shardTask mimics the per-shard work unit: an object id and a count.
-type shardTask struct {
-	obj uint64
-	n   uint64
-}
-
-// goodShardWorker drains its task channel and mutates only per-shard
-// state it owns — the sanctioned worker shape, silent.
-type goodShardWorker struct {
-	tasks  chan shardTask
-	counts map[uint64]uint64
-	node   *obs.Node
-}
-
-func (w *goodShardWorker) runShard() {
-	for t := range w.tasks {
-		w.counts[t.obj] += t.n
-		w.node.Record(0)
-	}
-}
-
-// badShardWorker re-enters the device from the worker goroutine — flagged.
-type badShardWorker struct {
-	tasks chan shardTask
-	dev   *gpu.Device
-}
-
-func (w *badShardWorker) runShard() {
-	for t := range w.tasks {
-		if t.n == 0 {
-			w.dev.Synchronize() // want `hook runShard calls Device.Synchronize`
-		}
-	}
-}
-
-// goodPipelineConsumer forwards batches to hooks in order and recycles
-// the buffer through the free channel — the hand-off loop's shape, silent.
-type goodPipelineConsumer struct {
-	hooks []gpu.Hook
-	tasks chan []gpu.MemAccess
-	free  chan []gpu.MemAccess
-}
-
-func (p *goodPipelineConsumer) runPipeline() {
-	for b := range p.tasks {
-		for _, h := range p.hooks {
-			h.OnAccessBatch(nil, b)
-		}
-		p.free <- b[:0]
-	}
-}
-
-// badPipelineConsumer allocates its recycled buffers from a simulator
-// pool on the consumer goroutine — flagged.
-type badPipelineConsumer struct {
-	tasks chan []gpu.MemAccess
-	pool  *pool.Pool
-}
-
-func (p *badPipelineConsumer) runPipeline() {
-	for range p.tasks {
-		if _, err := p.pool.Alloc(32); err != nil { // want `hook runPipeline calls pool Pool.Alloc`
-			return
-		}
-	}
-}

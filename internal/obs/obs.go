@@ -107,24 +107,6 @@ const (
 	NamedWindowObjectsSealed = "window/objects-sealed"
 )
 
-// Named counters published by the pipelined-ingest mode (core profilers
-// with Config.PipelinedIngest). Named, not fixed, so the fixed-counter
-// snapshot shape — and every byte-pinned report — is untouched when the
-// pipeline is off.
-const (
-	// NamedPipelineBatches counts access batches handed from the device to
-	// the pipeline consumer goroutine.
-	NamedPipelineBatches = "pipeline/batches"
-	// NamedPipelineDepthHW is the hand-off queue depth high-water mark
-	// (published as deltas, so the final value is the maximum observed).
-	NamedPipelineDepthHW = "pipeline/depth-high-water"
-	// NamedPipelineShardTasks counts tasks enqueued to the intra-object
-	// shard workers (span chunks, begins, finalizes, seals, barriers).
-	NamedPipelineShardTasks = "pipeline/shard-tasks"
-	// NamedPipelineShards is the shard-worker count of the run.
-	NamedPipelineShards = "pipeline/shards"
-)
-
 // Named counters published by the profiling server (internal/serve). Like
 // the streaming counters they are named, not fixed, so the fixed-counter
 // snapshot shape — and every byte-pinned report — is untouched when no

@@ -49,7 +49,7 @@ const (
 	// UncoalescedAccess is a repo extension beyond the paper's ten patterns:
 	// the memory-hierarchy cost model observed that kernels touch the object
 	// with access patterns whose per-warp transaction count substantially
-	// exceeds the coalesced ideal (DESIGN.md §4.10). Unlike the byte-centric
+	// exceeds the coalesced ideal (DESIGN.md §4.9). Unlike the byte-centric
 	// patterns above it wastes bandwidth and cycles, not footprint.
 	UncoalescedAccess
 
@@ -272,7 +272,7 @@ type Finding struct {
 	// is disabled or the pattern carries no traffic component).
 	ModeledCycles uint64
 	// CyclesSaved is the cost model's estimate of cycles recovered by fixing
-	// this finding (DESIGN.md §4.10). When the model is enabled, severity
+	// this finding (DESIGN.md §4.9). When the model is enabled, severity
 	// ranking uses this instead of the byte-based formula.
 	CyclesSaved uint64
 	// Severity orders findings within a report (higher is more severe).

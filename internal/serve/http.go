@@ -37,7 +37,6 @@ type RunRequest struct {
 	Sampling  int    `json:"sampling,omitempty"`
 	Streaming bool   `json:"streaming,omitempty"`
 	Window    int    `json:"window,omitempty"`
-	Pipelined bool   `json:"pipelined,omitempty"`
 	Memcheck  bool   `json:"memcheck,omitempty"`
 }
 
@@ -276,7 +275,6 @@ func buildSpec(rr RunRequest) (engine.RunSpec, runMeta, error) {
 		Sampling:  sampling,
 		Streaming: rr.Streaming,
 		Window:    rr.Window,
-		Pipelined: rr.Pipelined,
 		Opts:      engine.RunOpts{Memcheck: rr.Memcheck},
 	}, runMeta{Workload: wl.Name, Variant: variant.String(), Mode: mode, Sampling: sampling}, nil
 }

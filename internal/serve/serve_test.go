@@ -270,6 +270,7 @@ func TestSubmitValidation(t *testing.T) {
 	}{
 		{"bad json", `{"runs":`, "bad_json"},
 		{"unknown field", `{"runs":[{"workload":"simplemulticopy","bogus":1}]}`, "bad_json"},
+		{"removed pipelined field", `{"runs":[{"workload":"simplemulticopy","pipelined":true}]}`, "bad_json"},
 		{"empty batch", `{"runs":[]}`, "bad_request"},
 		{"unknown workload", `{"runs":[{"workload":"nope"}]}`, "bad_request"},
 		{"unknown device", `{"runs":[{"workload":"simplemulticopy","device":"h100"}]}`, "bad_request"},

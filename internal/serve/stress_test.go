@@ -165,16 +165,14 @@ func TestConcurrentSessionsStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentPipelinedSessionsMatchOffline is the pipelined leg of the
-// stress suite: several sessions run concurrently with pipelined ingest
-// enabled — so multiple consumer goroutines and shard-worker sets are
-// live inside one engine at once, stacked on the engine's own run
-// parallelism — and every report fetched over HTTP must still be
-// byte-identical, in every exportable format, to the plain offline
-// pipeline profiling the same workload. Meant for -race: the identity
-// check doubles as a determinism probe over genuinely interleaved
-// pipelined executions.
-func TestConcurrentPipelinedSessionsMatchOffline(t *testing.T) {
+// TestConcurrentSessionsMatchOffline is the identity leg of the stress
+// suite: several sessions run concurrently — so distinct profiling runs
+// are live inside one engine at once, on the engine's own run parallelism
+// — and every report fetched over HTTP must still be byte-identical, in
+// every exportable format, to the plain offline pipeline profiling the
+// same workload. Meant for -race: the identity check doubles as a
+// determinism probe over genuinely interleaved executions.
+func TestConcurrentSessionsMatchOffline(t *testing.T) {
 	eng := engine.New(engine.Config{})
 	s := New(Config{Engine: eng, Capacity: 16, TTL: time.Hour})
 	ts := httptest.NewServer(s.Handler())
@@ -183,7 +181,7 @@ func TestConcurrentPipelinedSessionsMatchOffline(t *testing.T) {
 
 	// Distinct workloads per session: identical tuples would collapse
 	// into one execution via the engine cache, and the point here is
-	// concurrent pipelined runs.
+	// concurrent runs.
 	names := []string{"simplemulticopy", "polybench/bicg", "rodinia/huffman", "polybench/2mm"}
 	ids := make([]string, len(names))
 	errs := make([]string, len(names))
@@ -192,7 +190,7 @@ func TestConcurrentPipelinedSessionsMatchOffline(t *testing.T) {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"runs":[{"workload":%q,"pipelined":true}]}`, name)
+			body := fmt.Sprintf(`{"runs":[{"workload":%q}]}`, name)
 			resp, err := ts.Client().Post(ts.URL+"/v1/sessions", "application/json", stringsReader(body))
 			if err != nil {
 				errs[i] = err.Error()
@@ -238,7 +236,7 @@ func TestConcurrentPipelinedSessionsMatchOffline(t *testing.T) {
 				t.Fatalf("%s report format=%s: status %d, body %.200s", name, f, status, got)
 			}
 			if !bytes.Equal(got, want.Bytes()) {
-				t.Errorf("%s format %s: pipelined HTTP bytes differ from offline export (%d vs %d bytes)",
+				t.Errorf("%s format %s: HTTP bytes differ from offline export (%d vs %d bytes)",
 					name, f, len(got), want.Len())
 			}
 		}

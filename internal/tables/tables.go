@@ -49,11 +49,6 @@ type ProfileOpts struct {
 	// offline run; only the heat map is added.
 	Stream bool
 	Window int
-	// Pipelined decouples simulation from ingestion inside the run
-	// (engine.RunSpec.Pipelined): access batches hand off to a consumer
-	// goroutine and intra-object accumulation may shard across the
-	// engine's worker budget. The report is byte-identical either way.
-	Pipelined bool
 }
 
 // ProfileWith is Profile with extras.
@@ -66,7 +61,6 @@ func ProfileWith(w *workloads.Workload, spec gpu.DeviceSpec, v workloads.Variant
 		Sampling:  sampling,
 		Streaming: opts.Stream,
 		Window:    opts.Window,
-		Pipelined: opts.Pipelined,
 		Opts:      engine.RunOpts{Memcheck: opts.Memcheck},
 	}})
 	if err != nil {

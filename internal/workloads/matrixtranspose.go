@@ -13,7 +13,7 @@ import (
 // would touch 4. No footprint or lifetime pattern fires: every byte is
 // touched exactly once and every object is allocated immediately before
 // its first use and freed immediately after its last. Only the cost
-// model's uncoalesced-access detector (DESIGN.md §4.10) flags the run,
+// model's uncoalesced-access detector (DESIGN.md §4.9) flags the run,
 // which is precisely the point of this workload: a program whose memory
 // problem is traffic, not footprint.
 //

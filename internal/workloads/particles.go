@@ -17,7 +17,7 @@ import (
 // lifetime patterns fire (the six cold fields per record are individually
 // scattered, which the fragmentation rule of §3.2 recognizes as
 // non-actionable overallocation). Only the cost model's uncoalesced-access
-// detector (DESIGN.md §4.10) flags the run.
+// detector (DESIGN.md §4.9) flags the run.
 //
 // Patterns (Table 1): none of the paper's ten; UC on the particle array.
 //

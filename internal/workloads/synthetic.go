@@ -23,7 +23,7 @@ import "drgpum/internal/gpu"
 //	NUAF skew       element i is read i+1 times by the triangle kernel
 //	SA   sliced     each slicer instance writes one disjoint contiguous row
 //	UC   grid       the colmajor kernel walks a 64x64 grid column-major
-//	                (repo extension beyond the paper's ten, DESIGN.md §4.10)
+//	                (repo extension beyond the paper's ten, DESIGN.md §4.9)
 func Synthetic() *Workload {
 	return &Workload{
 		Name:         "synthetic/kitchen-sink",
