@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet fmt lint api staticadv serve-smoke bench bench-streaming bench-costmodel cover
+.PHONY: check build test race vet fmt lint api staticadv serve-smoke bench cover
 
 # check is the tier-1 verify gate (see ROADMAP.md): static checks, the
 # invariant linter suite, the static kernel advisor gate, the public API
@@ -73,25 +73,6 @@ serve-smoke:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
-
-# bench-streaming measures the streaming pipeline (ingest ns/op, snapshot
-# ns/op, resident bytes, offline counterparts) and writes
-# BENCH_streaming.json. CI publishes it from the bench-smoke step; the
-# EXPERIMENTS.md streaming appendix records representative values.
-bench-streaming:
-	@echo "== bench-streaming =="
-	$(GO) run ./cmd/drgpum-bench -out BENCH_streaming.json
-	@cat BENCH_streaming.json
-
-# bench-costmodel measures what the memory-hierarchy cost model adds to an
-# end-to-end profile (cost-on vs cost-off per-workload medians, overhead
-# percentage, total modeled cycles as a determinism fingerprint) and
-# rewrites BENCH_costmodel.json. The checked-in copy is the baseline; CI
-# re-runs this and publishes the fresh numbers in the step summary.
-bench-costmodel:
-	@echo "== bench-costmodel =="
-	$(GO) run ./cmd/drgpum-bench -costmodel -out BENCH_costmodel.json
-	@cat BENCH_costmodel.json
 
 # cover runs the test suite with coverage of every package (not just the
 # one under test) and prints the per-function summary. cover.out is

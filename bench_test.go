@@ -127,8 +127,8 @@ func BenchmarkFigure6Overhead(b *testing.B) {
 }
 
 // BenchmarkEngineTable1 is the run engine's parallel-vs-sequential pair:
-// the same Table 1 sweep through the worker pool and through the
-// sequential reference scheduling, each iteration on a fresh engine so
+// the same Table 1 sweep through the worker pool and through a one-worker
+// pool (the in-order reference scheduling), each iteration on a fresh engine so
 // the cache does not collapse iterations. On a multi-core host the
 // parallel side approaches the longest single profile; at GOMAXPROCS=1
 // the two are at parity (the fan-out only interleaves).
@@ -141,7 +141,7 @@ func BenchmarkEngineTable1(b *testing.B) {
 		}
 	}
 	b.Run("parallel", func(b *testing.B) { run(b, engine.Config{}) })
-	b.Run("sequential", func(b *testing.B) { run(b, engine.Config{Sequential: true}) })
+	b.Run("sequential", func(b *testing.B) { run(b, engine.Config{Workers: 1}) })
 }
 
 // BenchmarkEngineTable1ThenTable5 measures the cross-driver memoization

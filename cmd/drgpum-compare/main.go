@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	drgpum-compare [-j N] [-seq]
+//	drgpum-compare [-j N]
 package main
 
 import (
@@ -21,11 +21,10 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("drgpum-compare: ")
-	jobs := flag.Int("j", 0, "max concurrent runs (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run sequentially in submission order (reference scheduling; output is byte-identical either way)")
+	jobs := flag.Int("j", 0, "max concurrent runs (0 = GOMAXPROCS; 1 = in submission order, byte-identical output)")
 	flag.Parse()
 
-	rows, err := tables.Table5With(engine.New(engine.Config{Workers: *jobs, Sequential: *seq}), gpu.SpecRTX3090())
+	rows, err := tables.Table5With(engine.New(engine.Config{Workers: *jobs}), gpu.SpecRTX3090())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	drgpum-overhead [-repeats N] [-sampling N] [-workloads a,b,...] [-j N] [-seq] [-stats]
+//	drgpum-overhead [-repeats N] [-sampling N] [-workloads a,b,...] [-j N] [-stats]
 //
 // Overhead runs measure wall clock, so the engine schedules every one of
 // them on its exclusive timed lane regardless of -j — the flags exist so
@@ -31,8 +31,7 @@ func main() {
 	sampling := flag.Int("sampling", 100, "intra-object kernel sampling period")
 	only := flag.String("workloads", "", "comma-separated workload names to measure (default: all)")
 	svgPath := flag.String("svg", "", "also write the figure as an SVG bar chart (the artifact's overhead.pdf analog)")
-	jobs := flag.Int("j", 0, "max concurrent runs (0 = GOMAXPROCS); timed measurements always execute exclusively")
-	seq := flag.Bool("seq", false, "run sequentially in submission order (reference scheduling)")
+	jobs := flag.Int("j", 0, "max concurrent runs (0 = GOMAXPROCS; 1 = in submission order); timed measurements always execute exclusively")
 	stats := flag.Bool("stats", false, "print the per-phase self-time breakdown (attach, ingestion, each analyzer) aggregated over every measured run")
 	flag.Parse()
 
@@ -50,7 +49,7 @@ func main() {
 		master = obs.New()
 	}
 	rows, err := overhead.MeasureWith(
-		engine.New(engine.Config{Workers: *jobs, Sequential: *seq, Obs: master}),
+		engine.New(engine.Config{Workers: *jobs, Obs: master}),
 		[]gpu.DeviceSpec{gpu.SpecRTX3090(), gpu.SpecA100()},
 		overhead.Options{Repeats: *repeats, SamplingPeriod: *sampling, Workloads: names},
 	)

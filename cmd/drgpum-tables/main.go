@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	drgpum-tables [-table 1|4|all] [-j N] [-seq] [-stats]
+//	drgpum-tables [-table 1|4|all] [-j N] [-stats]
 package main
 
 import (
@@ -25,8 +25,7 @@ func main() {
 	log.SetPrefix("drgpum-tables: ")
 	which := flag.String("table", "all", "which table to regenerate: 1, 4 or all")
 	outDir := flag.String("o", "", "also write artifact-style result files (patterns.txt, memory_peak.txt) into this directory")
-	jobs := flag.Int("j", 0, "max concurrent profiling runs (0 = GOMAXPROCS); speedup runs always execute exclusively")
-	seq := flag.Bool("seq", false, "run every profile sequentially in submission order (reference scheduling; output is byte-identical either way)")
+	jobs := flag.Int("j", 0, "max concurrent profiling runs (0 = GOMAXPROCS; 1 = in submission order, byte-identical output); speedup runs always execute exclusively")
 	stats := flag.Bool("stats", false, "print the engine's aggregated self-observability (phases with wall time, counters) after the tables")
 	flag.Parse()
 
@@ -34,7 +33,7 @@ func main() {
 	if *stats {
 		master = obs.New()
 	}
-	eng := engine.New(engine.Config{Workers: *jobs, Sequential: *seq, Obs: master})
+	eng := engine.New(engine.Config{Workers: *jobs, Obs: master})
 
 	results := func(name string, render func(w *os.File)) {
 		if *outDir == "" {

@@ -267,12 +267,6 @@ func WithKernelWhitelist(kernels ...string) Option {
 	return func(c *Config) { c.KernelWhitelist = kernels }
 }
 
-// WithSequentialAnalysis forces the offline analysis stages onto one
-// goroutine (see Config.SequentialAnalysis).
-func WithSequentialAnalysis() Option {
-	return func(c *Config) { c.SequentialAnalysis = true }
-}
-
 // StreamingConfig configures windowed streaming analysis
 // (Config.Streaming). See core.StreamingConfig.
 type StreamingConfig = core.StreamingConfig

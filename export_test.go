@@ -79,7 +79,6 @@ func TestNewOptions(t *testing.T) {
 		drgpum.WithMemcheck(),
 		drgpum.WithObservability(),
 		drgpum.WithTopPeaks(3),
-		drgpum.WithSequentialAnalysis(),
 	)
 	if rep.Memcheck == nil {
 		t.Error("WithMemcheck did not attach the checker")

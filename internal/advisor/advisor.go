@@ -204,18 +204,9 @@ func Advise(t *trace.Trace, findings []pattern.Finding) Estimate {
 //
 // The per-finding estimates are independent replays over a read-only trace,
 // so they fan out across GOMAXPROCS workers; each worker writes only its
-// finding's slot, so the result is identical to the sequential variant.
+// finding's slot, so the result does not depend on the worker count. At
+// GOMAXPROCS=1 they run in order on the calling goroutine.
 func MarginalSavings(t *trace.Trace, findings []pattern.Finding) []uint64 {
-	return marginalSavings(t, findings, runtime.GOMAXPROCS(0))
-}
-
-// MarginalSavingsSequential is MarginalSavings restricted to the calling
-// goroutine (Config.SequentialAnalysis; the results are byte-identical).
-func MarginalSavingsSequential(t *trace.Trace, findings []pattern.Finding) []uint64 {
-	return marginalSavings(t, findings, 1)
-}
-
-func marginalSavings(t *trace.Trace, findings []pattern.Finding, workers int) []uint64 {
 	out := make([]uint64, len(findings))
 	if len(findings) == 0 {
 		return out
@@ -234,9 +225,7 @@ func marginalSavings(t *trace.Trace, findings []pattern.Finding, workers int) []
 			out[i] = base - est.EstimatedPeak
 		}
 	}
-	if workers > len(findings) {
-		workers = len(findings)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(findings))
 	if workers <= 1 {
 		for i := range findings {
 			one(i)

@@ -13,29 +13,33 @@ import (
 
 // costMode names one execution mode of the cost determinism matrix.
 type costMode struct {
-	name       string
-	sequential bool // Config.SequentialAnalysis
-	streaming  bool
+	name      string
+	oneProc   bool // run at GOMAXPROCS=1
+	streaming bool
 }
 
-// costModes is the full mode matrix: strictly sequential analysis, the
-// default concurrent offline analysis, and streaming windowed retirement.
+// costModes is the full mode matrix: the default concurrent offline
+// analysis, streaming windowed retirement, and the offline analysis at
+// GOMAXPROCS=1. That one goes last because its pin lasts until the subtest
+// ends.
 // Cost accounting rides the synchronous kernel execution path in every one
 // of them, so modeled cycles must be bit-equal across the matrix.
 var costModes = []costMode{
-	{name: "sequential", sequential: true},
 	{name: "parallel"},
 	{name: "streaming", streaming: true},
+	{name: "sequential", oneProc: true},
 }
 
 // costReport profiles one workload variant under one mode with the cost
 // model at its default (enabled) configuration.
 func costReport(tb testing.TB, w *workloads.Workload, v workloads.Variant, m costMode) *core.Report {
 	tb.Helper()
+	if m.oneProc {
+		pinOneProc(tb)
+	}
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
 	cfg := core.IntraObjectConfig()
 	cfg.KernelWhitelist = w.IntraKernels
-	cfg.SequentialAnalysis = m.sequential
 	if m.streaming {
 		cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: streamWindow}
 	}
@@ -65,7 +69,7 @@ func costFingerprint(rep *core.Report) string {
 // TestCostModelDeterminism pins the cost model's mode independence: the
 // modeled cycles attached to objects and findings — and therefore the
 // cycles-ranked advice order — must be byte-identical whether the analysis
-// ran sequentially, concurrently, or streaming. The uncoalesced
+// ran concurrently, streaming, or at GOMAXPROCS=1. The uncoalesced
 // workloads are the interesting rows (their advice exists only because of
 // the model); polybench/2mm covers the mixed case where cost cycles rank
 // findings other detectors produced.

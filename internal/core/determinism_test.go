@@ -4,18 +4,27 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"drgpum/internal/core"
-	"drgpum/internal/gpu"
 	"drgpum/internal/workloads"
 )
 
+// pinOneProc runs the rest of the test at GOMAXPROCS=1, the in-order
+// reference schedule: the analysis stages interleave on one P and the
+// marginal-savings scan runs in order on the calling goroutine. t.Cleanup
+// restores the previous setting; no test here calls t.Parallel.
+func pinOneProc(tb testing.TB) {
+	prev := runtime.GOMAXPROCS(1)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // profiledJSON profiles the named workload from scratch and returns the
 // serialized report.
-func profiledJSON(t *testing.T, name string, sequential bool) []byte {
+func profiledJSON(t *testing.T, name string) []byte {
 	t.Helper()
-	prof := collectedProfiler(t, name, sequential)
+	prof := collectedProfiler(t, name)
 	out, err := json.Marshal(prof.Finish())
 	if err != nil {
 		t.Fatal(err)
@@ -25,46 +34,24 @@ func profiledJSON(t *testing.T, name string, sequential bool) []byte {
 
 // TestAnalysisDeterminism pins DESIGN.md §4.1: profiling the same workload
 // must yield byte-identical JSON reports across runs, and the concurrent
-// analysis pipeline must produce exactly the bytes the sequential one does.
+// analysis pipeline must produce exactly the bytes it does at GOMAXPROCS=1.
 // Any ordering leak from the parallel stages (goroutine completion order,
 // map iteration, non-deterministic merge) shows up here as a diff.
 func TestAnalysisDeterminism(t *testing.T) {
 	for _, name := range []string{"simplemulticopy", "rodinia/huffman", "polybench/bicg"} {
 		t.Run(name, func(t *testing.T) {
-			first := profiledJSON(t, name, false)
-			again := profiledJSON(t, name, false)
+			first := profiledJSON(t, name)
+			again := profiledJSON(t, name)
 			if !bytes.Equal(first, again) {
 				t.Errorf("two parallel-analysis runs differ (%d vs %d bytes)", len(first), len(again))
 			}
-			seq := profiledJSON(t, name, true)
+			pinOneProc(t)
+			seq := profiledJSON(t, name)
 			if !bytes.Equal(first, seq) {
-				t.Errorf("parallel and sequential analysis differ (%d vs %d bytes)", len(first), len(seq))
+				t.Errorf("default and GOMAXPROCS=1 analysis differ (%d vs %d bytes)", len(first), len(seq))
 			}
 		})
 	}
-}
-
-// suiteReport runs one workload variant from scratch under the intra-object
-// configuration, either through the default two-step concurrent analysis
-// pipeline or strictly sequentially (Config.SequentialAnalysis).
-func suiteReport(tb testing.TB, name string, v workloads.Variant, sequential, stream bool) *core.Report {
-	tb.Helper()
-	w, ok := workloads.ByName(name)
-	if !ok {
-		tb.Fatalf("unknown workload %s", name)
-	}
-	dev := gpu.NewDevice(gpu.SpecRTX3090())
-	cfg := core.IntraObjectConfig()
-	cfg.KernelWhitelist = w.IntraKernels
-	cfg.SequentialAnalysis = sequential
-	if stream {
-		cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: streamWindow}
-	}
-	prof := core.Attach(dev, cfg)
-	if err := w.Run(dev, prof, v); err != nil {
-		tb.Fatal(err)
-	}
-	return prof.Finish()
 }
 
 // exportBytes serializes a report through one registered exporter.
@@ -80,7 +67,7 @@ func exportBytes(tb testing.TB, rep *core.Report, f core.Format) []byte {
 // TestPipelinedDeterminism extends TestAnalysisDeterminism to the whole
 // workload suite under intra-object profiling: for every workload, both
 // variants, offline and streaming, a run analyzed by the concurrent
-// pipeline must serialize byte-identically to the strictly sequential one
+// pipeline must serialize byte-identically to the same run at GOMAXPROCS=1
 // in every format — report JSON, verbose render, GUI export, and (offline)
 // the saved profile. Concurrency is an execution detail, never an output.
 func TestPipelinedDeterminism(t *testing.T) {
@@ -94,26 +81,30 @@ func TestPipelinedDeterminism(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", name, v, mode), func(t *testing.T) {
 					// One call site for both runs: allocation call paths
 					// embed source lines, so distinct call sites would
-					// differ trivially.
+					// differ trivially. The GOMAXPROCS=1 run goes last:
+					// the pin lasts until the subtest ends.
 					var reps [2]*core.Report
-					for i, sequential := range []bool{true, false} {
-						reps[i] = suiteReport(t, name, v, sequential, stream)
+					for i, oneProc := range []bool{false, true} {
+						if oneProc {
+							pinOneProc(t)
+						}
+						reps[i] = profiledReport(t, name, v, stream)
 					}
-					seq, par := reps[0], reps[1]
+					par, seq := reps[0], reps[1]
 					seqJS, seqTxt := reportBytes(t, seq)
 					parJS, parTxt := reportBytes(t, par)
 					if !bytes.Equal(seqJS, parJS) {
-						t.Errorf("concurrent JSON differs from sequential (%d vs %d bytes)", len(parJS), len(seqJS))
+						t.Errorf("concurrent JSON differs from GOMAXPROCS=1 (%d vs %d bytes)", len(parJS), len(seqJS))
 					}
 					if !bytes.Equal(seqTxt, parTxt) {
-						t.Errorf("concurrent render differs from sequential (%d vs %d bytes)", len(parTxt), len(seqTxt))
+						t.Errorf("concurrent render differs from GOMAXPROCS=1 (%d vs %d bytes)", len(parTxt), len(seqTxt))
 					}
 					if !bytes.Equal(exportBytes(t, seq, core.FormatGUI), exportBytes(t, par, core.FormatGUI)) {
-						t.Error("concurrent GUI export differs from sequential")
+						t.Error("concurrent GUI export differs from GOMAXPROCS=1")
 					}
 					if !stream {
 						if !bytes.Equal(exportBytes(t, seq, core.FormatProfile), exportBytes(t, par, core.FormatProfile)) {
-							t.Error("concurrent saved profile differs from sequential")
+							t.Error("concurrent saved profile differs from GOMAXPROCS=1")
 						}
 					}
 				})

@@ -3,16 +3,9 @@ package core
 import (
 	"errors"
 	"io"
-	"sort"
 
-	"drgpum/internal/advisor"
-	"drgpum/internal/depgraph"
 	"drgpum/internal/gpu"
-	"drgpum/internal/objlevel"
-	"drgpum/internal/pattern"
-	"drgpum/internal/peak"
 	"drgpum/internal/profile"
-	"drgpum/internal/trace"
 )
 
 // errStreamedProfile is returned by SaveProfile for streamed traces.
@@ -46,44 +39,9 @@ func AnalyzeProfile(rd io.Reader, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.TopPeaks <= 0 {
-		cfg.TopPeaks = 2
-	}
-	return analyzeLoaded(t, meta, cfg), nil
-}
-
-// analyzeLoaded runs the offline pipeline over a loaded trace.
-func analyzeLoaded(t *trace.Trace, meta profile.Meta, cfg Config) *Report {
-	g := depgraph.Annotate(t)
-	pk := peak.Analyze(t, cfg.TopPeaks)
-	findings := objlevel.Detect(t, cfg.ObjLevel)
-
-	marginal := advisor.MarginalSavings(t, findings)
-	for i := range findings {
-		f := &findings[i]
-		f.OnPeak = pk.OnPeak(f.Object)
-		f.PeakSavingsBytes = marginal[i]
-		f.Suggestion = pattern.Suggest(t, f)
-		f.Severity = severity(f)
-	}
-	sort.SliceStable(findings, func(i, j int) bool {
-		if findings[i].Severity != findings[j].Severity {
-			return findings[i].Severity > findings[j].Severity
-		}
-		if findings[i].Object != findings[j].Object {
-			return findings[i].Object < findings[j].Object
-		}
-		return findings[i].Pattern < findings[j].Pattern
-	})
-
-	return &Report{
-		Device:   meta.Device,
-		Trace:    t,
-		Graph:    g,
-		Peaks:    pk,
-		Findings: findings,
-		MemStats: gpu.AllocStats{Peak: meta.PeakBytes},
-		Elapsed:  meta.Cycles,
-		WhatIf:   advisor.Advise(t, findings),
-	}
+	rep := analyzeTrace(analysisInput{trace: t, cfg: cfg})
+	rep.Device = meta.Device
+	rep.MemStats = gpu.AllocStats{Peak: meta.PeakBytes}
+	rep.Elapsed = meta.Cycles
+	return rep, nil
 }

@@ -60,13 +60,6 @@ type Config struct {
 	// at near-zero cost. Sharing one recorder across several profilers
 	// aggregates them (counter updates are atomic; same-name spans merge).
 	Obs *obs.Recorder
-	// SequentialAnalysis forces the offline analysis stages to run strictly
-	// sequentially on one goroutine. The default concurrent pipeline is
-	// deterministic (reports are byte-identical either way — the
-	// determinism regression tests pin this); the switch exists for
-	// debugging and for environments where the analyzer must not spawn
-	// goroutines.
-	SequentialAnalysis bool
 	// Streaming enables incremental kernel-epoch analysis with bounded
 	// collector memory and a temporal heat map (Report.Heat). Finish
 	// reports stay byte-identical to the offline pipeline; see
@@ -158,9 +151,6 @@ type Profiler struct {
 // the configured level. It must be called before the monitored GPU activity
 // starts; APIs invoked earlier are not observed.
 func Attach(dev *gpu.Device, cfg Config) *Profiler {
-	if cfg.TopPeaks <= 0 {
-		cfg.TopPeaks = 2
-	}
 	if cfg.DefaultElemSize == 0 {
 		cfg.DefaultElemSize = 4
 	}
@@ -294,85 +284,135 @@ func (p *Profiler) Snapshot() *Report {
 	return p.analyze()
 }
 
-// analyze builds a report from the current collection state.
+// analyze builds a report from the current collection state: the shared
+// analysis driver over the live trace, plus what only the attached device
+// knows (allocator statistics, elapsed cycles, memcheck, heat map, obs).
+func (p *Profiler) analyze() *Report {
+	// an is the analyze span-tree node (nil without observability); each
+	// stage opens a child span so per-analyzer self-time shows up in the
+	// phase breakdown.
+	an := p.obs.Root().Child("analyze")
+	anSpan := an.Start()
+	in := analysisInput{trace: p.collector.Trace(), cfg: p.cfg, recorder: p.recorder, window: p.window, an: an}
+	if spec, ok := p.dev.CostModelSpec(); ok {
+		in.cost = &spec
+	}
+	rep := analyzeTrace(in)
+	if p.checker != nil {
+		rep.Memcheck = p.checker.Report()
+	}
+	anSpan.End()
+
+	rep.Device = p.dev.Spec().Name
+	rep.MemStats = p.dev.MemStats()
+	rep.Elapsed = p.dev.Elapsed()
+	if p.window != nil {
+		rep.Heat = p.window.Heat()
+	}
+	if p.obs.Enabled() {
+		p.publishCounters(rep)
+		snap := p.obs.Snapshot()
+		rep.Obs = &snap
+	}
+	return rep
+}
+
+// analysisInput is what one analysis pass reads. A live profiler supplies
+// every field it has; a saved profile supplies only the trace and config.
+type analysisInput struct {
+	trace *trace.Trace
+	cfg   Config
+	// recorder holds the intra-object maps (nil at object level and for
+	// saved profiles, where the maps no longer exist).
+	recorder *intraobj.Recorder
+	// window is the streaming state (nil unless Config.Streaming).
+	window *windowManager
+	// cost is the cost-model spec the run used (nil when the model was
+	// off, and for saved profiles).
+	cost *costmodel.Spec
+	// an is the analyze span node (nil without observability).
+	an *obs.Node
+}
+
+// analyzeTrace is the offline analyzer of the paper's four-stage workflow
+// (§4), shared by Profiler.Finish/Snapshot and AnalyzeProfile. It fills
+// the report fields that derive from the trace; the caller adds the
+// device-side ones.
 //
-// The offline stages run as a two-step concurrent pipeline (the online
-// collector is untouched — only the post-run analysis parallelizes):
+// The stages run as a two-step concurrent pipeline (the online collector
+// is untouched — only the post-run analysis parallelizes):
 //
 //  1. depgraph.Annotate runs first and alone: it writes APIInfo.Topo, which
 //     every later stage reads.
-//  2. peak analysis, the object-level detectors and the intra-object
-//     detectors are mutually independent — peak and objlevel only read the
-//     trace, and the intra-object recorder mutates nothing but itself — so
-//     they run concurrently.
+//  2. peak analysis, the object-level detectors, the intra-object detectors
+//     and the uncoalesced-access detector are mutually independent — peak
+//     and objlevel only read the trace, and the intra-object recorder
+//     mutates nothing but itself — so they run concurrently.
 //  3. The advisor's marginal-savings scan (itself fanned out per finding)
 //     and the aggregate what-if estimate both only read the trace and the
 //     findings, so they run concurrently too.
 //
 // Every stage writes to its own variable and the findings are concatenated
-// and decorated in a fixed order, so the report is byte-identical to the
-// sequential pipeline (Config.SequentialAnalysis; pinned by the determinism
-// regression tests).
-func (p *Profiler) analyze() *Report {
-	// an is the analyze span-tree node (nil without observability); each
-	// stage below opens a child span so per-analyzer self-time shows up in
-	// the phase breakdown. Stage spans aggregate by name, so a concurrent
-	// pass and a sequential pass record identical counts.
-	an := p.obs.Root().Child("analyze")
-	anSpan := an.Start()
-	t := p.collector.Trace()
+// and decorated in a fixed order, so the report bytes do not depend on the
+// schedule: GOMAXPROCS=1 yields the same bytes (pinned by the determinism
+// regression tests). Stage spans aggregate by name, so span counts do not
+// depend on it either.
+//
+// Streaming runs the same stages over incrementally maintained state:
+// timestamps and the dependency summary were assigned at arrival, the peak
+// miner runs over a timeline bounded by the tracked maximum timestamp, and
+// the object-level detectors read the arrival-time accumulator instead of
+// walking (possibly compacted) access lists. Each branch funnels into the
+// code path the offline pipeline uses, so reports stay byte-identical
+// (pinned by the streaming determinism tests).
+func analyzeTrace(in analysisInput) *Report {
+	t, cfg, an, w := in.trace, in.cfg, in.an, in.window
+	topPeaks := cfg.TopPeaks
+	if topPeaks <= 0 {
+		topPeaks = 2
+	}
 
-	// Streaming runs the same stages over incrementally maintained state:
-	// timestamps and the dependency summary were assigned at arrival, the
-	// peak miner runs over a timeline bounded by the tracked maximum
-	// timestamp, and the object-level detectors read the arrival-time
-	// accumulator instead of walking (possibly compacted) access lists.
-	// Each branch funnels into the code path the offline pipeline uses, so
-	// reports stay byte-identical (pinned by the streaming determinism
-	// tests).
 	var g *depgraph.Graph
-	if p.window != nil {
-		staged(an, "depgraph", func() { g = p.window.inc.Graph() })
+	if w != nil {
+		staged(an, "depgraph", func() { g = w.inc.Graph() })
 	} else {
 		staged(an, "depgraph", func() { g = depgraph.Annotate(t) })
 	}
 
-	costSpec, costOn := p.dev.CostModelSpec()
-
 	var pk *peak.Analysis
 	var objFindings, intraFindings, costFindings []pattern.Finding
 	var modeStats intraobj.ModeStats
-	p.runStages(
+	runStages(
 		func() {
 			staged(an, "peak", func() {
-				if p.window != nil {
-					pk = peak.AnalyzeTimeline(t, p.cfg.TopPeaks, t.LiveBytesTimelineTo(p.window.maxTopo))
+				if w != nil {
+					pk = peak.AnalyzeTimeline(t, topPeaks, t.LiveBytesTimelineTo(w.maxTopo))
 				} else {
-					pk = peak.Analyze(t, p.cfg.TopPeaks)
+					pk = peak.Analyze(t, topPeaks)
 				}
 			})
 		},
 		func() {
 			staged(an, "objlevel", func() {
-				if p.window != nil {
-					objFindings = objlevel.DetectStreamed(t, p.cfg.ObjLevel, p.window.acc)
+				if w != nil {
+					objFindings = objlevel.DetectStreamed(t, cfg.ObjLevel, w.acc)
 				} else {
-					objFindings = objlevel.Detect(t, p.cfg.ObjLevel)
+					objFindings = objlevel.Detect(t, cfg.ObjLevel)
 				}
 			})
 		},
 		func() {
-			if p.recorder != nil {
+			if in.recorder != nil {
 				staged(an, "intraobj", func() {
-					intraFindings = p.recorder.Detect(p.cfg.IntraObj)
-					modeStats = p.recorder.Stats()
+					intraFindings = in.recorder.Detect(cfg.IntraObj)
+					modeStats = in.recorder.Stats()
 				})
 			}
 		},
 		func() {
-			if costOn {
+			if in.cost != nil {
 				staged(an, "costmodel", func() {
-					costFindings = detectUncoalesced(t, costSpec, p.cfg.CostModel)
+					costFindings = detectUncoalesced(t, *in.cost, cfg.CostModel)
 				})
 			}
 		},
@@ -382,16 +422,8 @@ func (p *Profiler) analyze() *Report {
 
 	var marginal []uint64
 	var advice advisor.Estimate
-	p.runStages(
-		func() {
-			staged(an, "marginal", func() {
-				if p.cfg.SequentialAnalysis {
-					marginal = advisor.MarginalSavingsSequential(t, findings)
-				} else {
-					marginal = advisor.MarginalSavings(t, findings)
-				}
-			})
-		},
+	runStages(
+		func() { staged(an, "marginal", func() { marginal = advisor.MarginalSavings(t, findings) }) },
 		func() { staged(an, "advise", func() { advice = advisor.Advise(t, findings) }) },
 	)
 
@@ -400,8 +432,8 @@ func (p *Profiler) analyze() *Report {
 		f.OnPeak = pk.OnPeak(f.Object)
 		f.PeakSavingsBytes = marginal[i]
 		f.Suggestion = pattern.Suggest(t, f)
-		if costOn {
-			attachCycles(t, costSpec, f)
+		if in.cost != nil {
+			attachCycles(t, *in.cost, f)
 			f.Severity = severityCycles(f)
 		} else {
 			f.Severity = severity(f)
@@ -417,37 +449,16 @@ func (p *Profiler) analyze() *Report {
 		return findings[i].Pattern < findings[j].Pattern
 	})
 
-	var mc *memcheck.Report
-	if p.checker != nil {
-		mc = p.checker.Report()
-	}
-	anSpan.End()
-
-	rep := &Report{
-		Device:    p.dev.Spec().Name,
+	return &Report{
 		Trace:     t,
 		Graph:     g,
 		Peaks:     pk,
 		Findings:  findings,
-		MemStats:  p.dev.MemStats(),
-		Elapsed:   p.dev.Elapsed(),
 		ModeStats: modeStats,
-		Recorder:  p.recorder,
+		Recorder:  in.recorder,
 		WhatIf:    advice,
-		Memcheck:  mc,
+		CostModel: in.cost,
 	}
-	if costOn {
-		rep.CostModel = &costSpec
-	}
-	if p.window != nil {
-		rep.Heat = p.window.Heat()
-	}
-	if p.obs.Enabled() {
-		p.publishCounters(rep, pk)
-		snap := p.obs.Snapshot()
-		rep.Obs = &snap
-	}
-	return rep
 }
 
 // staged wraps one analysis stage in a span named under the analyze node.
@@ -463,8 +474,8 @@ func staged(an *obs.Node, name string, fn func()) {
 // shared recorders are never double-counted; per-pass quantities (peak
 // candidates, findings per pattern) count each pass, matching how engine
 // aggregation sums passes across runs.
-func (p *Profiler) publishCounters(rep *Report, pk *peak.Analysis) {
-	p.obs.Add(obs.CtrPeakCandidates, uint64(pk.Candidates))
+func (p *Profiler) publishCounters(rep *Report) {
+	p.obs.Add(obs.CtrPeakCandidates, uint64(rep.Peaks.Candidates))
 
 	perPattern := make(map[pattern.Pattern]uint64)
 	for i := range rep.Findings {
@@ -486,16 +497,9 @@ func (p *Profiler) publishCounters(rep *Report, pk *peak.Analysis) {
 	}
 }
 
-// runStages executes the given independent analysis stages, concurrently by
-// default or in order under Config.SequentialAnalysis. The first stage runs
-// on the calling goroutine either way.
-func (p *Profiler) runStages(stages ...func()) {
-	if p.cfg.SequentialAnalysis {
-		for _, s := range stages {
-			s()
-		}
-		return
-	}
+// runStages executes independent analysis stages concurrently; the first
+// runs on the calling goroutine.
+func runStages(stages ...func()) {
 	var wg sync.WaitGroup
 	wg.Add(len(stages) - 1)
 	for _, s := range stages[1:] {

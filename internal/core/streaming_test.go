@@ -21,7 +21,7 @@ const streamWindow = 4
 
 // profiledReport runs one workload variant from scratch — offline or
 // streaming — and returns the finished report.
-func profiledReport(tb testing.TB, name string, v workloads.Variant, sequential, stream bool) *core.Report {
+func profiledReport(tb testing.TB, name string, v workloads.Variant, stream bool) *core.Report {
 	tb.Helper()
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -30,7 +30,6 @@ func profiledReport(tb testing.TB, name string, v workloads.Variant, sequential,
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
 	cfg := core.IntraObjectConfig()
 	cfg.KernelWhitelist = w.IntraKernels
-	cfg.SequentialAnalysis = sequential
 	if stream {
 		cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: streamWindow}
 	}
@@ -56,7 +55,7 @@ func reportBytes(tb testing.TB, rep *core.Report) ([]byte, []byte) {
 
 // TestStreamingDeterminism pins the streaming identity contract across the
 // whole workload suite: for every workload, both variants, and both analysis
-// pipelines (parallel and sequential), the streaming run's Finish report —
+// schedules (the default and GOMAXPROCS=1), the streaming run's Finish report —
 // produced from incrementally finalized windows over a trace whose raw
 // payloads were retired — must serialize and render byte-identically to the
 // offline run's. Report.Heat is deliberately outside both serializations,
@@ -65,18 +64,21 @@ func reportBytes(tb testing.TB, rep *core.Report) ([]byte, []byte) {
 func TestStreamingDeterminism(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, v := range []workloads.Variant{workloads.VariantNaive, workloads.VariantOptimized} {
-			for _, sequential := range []bool{false, true} {
+			for _, oneProc := range []bool{false, true} {
 				pipe := "parallel"
-				if sequential {
+				if oneProc {
 					pipe = "sequential"
 				}
 				t.Run(fmt.Sprintf("%s/%s/%s", name, v, pipe), func(t *testing.T) {
+					if oneProc {
+						pinOneProc(t)
+					}
 					// One call site for both runs: allocation call paths
 					// embed source lines, so distinct call sites would
 					// differ trivially.
 					var reps [2]*core.Report
 					for i, stream := range []bool{false, true} {
-						reps[i] = profiledReport(t, name, v, sequential, stream)
+						reps[i] = profiledReport(t, name, v, stream)
 					}
 					offline, streamed := reps[0], reps[1]
 					offJS, offTxt := reportBytes(t, offline)
@@ -162,9 +164,8 @@ func runTrainingLoop(tb testing.TB, dev *gpu.Device, prof *core.Profiler, epochs
 
 // trainingConfig is the training-loop profiling configuration: intra-object
 // granularity with no whitelist (every launch instrumented).
-func trainingConfig(sequential, stream bool) core.Config {
+func trainingConfig(stream bool) core.Config {
 	cfg := core.IntraObjectConfig()
-	cfg.SequentialAnalysis = sequential
 	if stream {
 		cfg.Streaming = core.StreamingConfig{Enabled: true, WindowKernels: streamWindow}
 	}
@@ -174,24 +175,27 @@ func trainingConfig(sequential, stream bool) core.Config {
 // TestSnapshotThenFinish pins that taking mid-run snapshots — interleaved
 // with collection, every few epochs — leaves the final Finish report
 // byte-identical to a run that never snapshotted, for the offline and the
-// streaming pipeline, parallel and sequential. Snapshots must not close
-// streaming windows early, mutate detector state, or double-publish
-// anything that Finish serializes.
+// streaming pipeline, at the default GOMAXPROCS and at 1. Snapshots must
+// not close streaming windows early, mutate detector state, or
+// double-publish anything that Finish serializes.
 func TestSnapshotThenFinish(t *testing.T) {
 	for _, stream := range []bool{false, true} {
-		for _, sequential := range []bool{false, true} {
+		for _, oneProc := range []bool{false, true} {
 			mode := "offline"
 			if stream {
 				mode = "streaming"
 			}
 			pipe := "parallel"
-			if sequential {
+			if oneProc {
 				pipe = "sequential"
 			}
 			t.Run(mode+"/"+pipe, func(t *testing.T) {
+				if oneProc {
+					pinOneProc(t)
+				}
 				run := func(snapshots bool) *core.Report {
 					dev := gpu.NewDevice(gpu.SpecRTX3090())
-					prof := core.Attach(dev, trainingConfig(sequential, stream))
+					prof := core.Attach(dev, trainingConfig(stream))
 					var onEpoch func(int)
 					if snapshots {
 						onEpoch = func(e int) {
@@ -236,7 +240,7 @@ func residentAfterTraining(tb testing.TB, stream bool) (uint64, *core.Profiler, 
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
-	prof := core.Attach(dev, trainingConfig(false, stream))
+	prof := core.Attach(dev, trainingConfig(stream))
 	runTrainingLoop(tb, dev, prof, trainingEpochs, nil)
 	runtime.GC()
 	var after runtime.MemStats
@@ -278,7 +282,7 @@ func TestStreamingResidentMemory(t *testing.T) {
 // streaming run: the heat map's shape, its text render, its Perfetto track,
 // and the profile-save gate on retired traces.
 func TestStreamingHeatMapAndExports(t *testing.T) {
-	rep := profiledReport(t, "simplemulticopy", workloads.VariantNaive, false, true)
+	rep := profiledReport(t, "simplemulticopy", workloads.VariantNaive, true)
 	h := rep.Heat
 	if h == nil || len(h.Epochs) == 0 {
 		t.Fatal("no heat map epochs")
@@ -318,7 +322,7 @@ func TestStreamingHeatMapAndExports(t *testing.T) {
 	}
 
 	// Offline reports render a stub instead of a map.
-	offline := profiledReport(t, "simplemulticopy", workloads.VariantNaive, false, false)
+	offline := profiledReport(t, "simplemulticopy", workloads.VariantNaive, false)
 	txt.Reset()
 	offline.RenderHeatMap(&txt)
 	if !strings.Contains(txt.String(), "no heat map") {
@@ -344,7 +348,7 @@ func BenchmarkSnapshotOffline(b *testing.B) {
 
 func benchmarkSnapshot(b *testing.B, stream bool) {
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
-	prof := core.Attach(dev, trainingConfig(false, stream))
+	prof := core.Attach(dev, trainingConfig(stream))
 	runTrainingLoop(b, dev, prof, trainingEpochs, nil)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -54,12 +54,12 @@ func renderEvaluation(t *testing.T, e *engine.Engine) string {
 
 // TestEvaluationDeterminism is the whole-evaluation analog of
 // core.TestAnalysisDeterminism: every rendered table must be
-// byte-identical between the sequential reference scheduling, the
+// byte-identical between the one-worker reference scheduling, the
 // parallel worker pool, and two consecutive parallel runs on fresh
 // engines (fresh, so the second run re-executes instead of trivially
 // replaying the first run's cache).
 func TestEvaluationDeterminism(t *testing.T) {
-	seq := renderEvaluation(t, engine.New(engine.Config{Sequential: true}))
+	seq := renderEvaluation(t, engine.New(engine.Config{Workers: 1}))
 	par := renderEvaluation(t, engine.New(engine.Config{Workers: 8}))
 	again := renderEvaluation(t, engine.New(engine.Config{Workers: 8}))
 	if par != seq {

@@ -11,8 +11,9 @@
 //     input: results[i] always belongs to specs[i], no matter which
 //     worker finished it or in what order. Drivers consume results in
 //     submission order, so every rendered table is byte-identical to
-//     the sequential path (Config.Sequential pins that equivalence in
-//     tests, mirroring core.Config.SequentialAnalysis).
+//     the in-order path a one-worker pool takes (Workers: 1 runs every
+//     batch on the calling goroutine; the determinism tests pin the
+//     equivalence).
 //   - Memoized profiles. Untimed runs are cached under their full
 //     configuration (mode, workload, device spec, variant, patch
 //     level, sampling period, memcheck flag) with singleflight
@@ -150,12 +151,10 @@ type Stats struct {
 // Config tunes an Engine.
 type Config struct {
 	// Workers bounds concurrent runs; <=0 means GOMAXPROCS. The
-	// effective pool is min(Workers, len(specs)).
+	// effective pool is min(Workers, len(specs)); a pool of one runs the
+	// batch in submission order on the calling goroutine. The cache stays
+	// active at every size.
 	Workers int
-	// Sequential executes every batch in submission order on the calling
-	// goroutine — the reference scheduling the determinism tests compare
-	// the pool against. The cache stays active either way.
-	Sequential bool
 	// Obs, when enabled, is the engine's master self-observability
 	// recorder. Every executed (non-cached) run gets a fresh per-run
 	// recorder — so each Report's snapshot is run-local and byte-identical
@@ -163,7 +162,7 @@ type Config struct {
 	// after the body finishes, under an engine/<mode> span. The Stats
 	// counters are mirrored onto Obs as they accumulate. Note the
 	// hits/dedups split depends on scheduling; only their sum is
-	// deterministic across sequential and parallel runs.
+	// deterministic across pool sizes.
 	Obs *obs.Recorder
 }
 
@@ -274,7 +273,7 @@ func (e *Engine) Run(specs []RunSpec) ([]Result, error) {
 func (e *Engine) RunWithStats(specs []RunSpec) ([]Result, Stats, error) {
 	results := make([]Result, len(specs))
 	kinds := make([]runKind, len(specs))
-	if nw := e.workers(len(specs)); e.cfg.Sequential || nw == 1 {
+	if nw := e.workers(len(specs)); nw == 1 {
 		for i := range specs {
 			results[i], kinds[i] = e.runOne(specs[i])
 		}

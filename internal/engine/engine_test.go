@@ -33,7 +33,7 @@ func cheapWorkloads(t *testing.T) []*workloads.Workload {
 // program.
 func TestResultsAreIndexAddressed(t *testing.T) {
 	ws := cheapWorkloads(t)
-	for _, cfg := range []engine.Config{{Sequential: true}, {Workers: 4}} {
+	for _, cfg := range []engine.Config{{Workers: 1}, {Workers: 4}} {
 		e := engine.New(cfg)
 		var specs []engine.RunSpec
 		for _, w := range ws {
@@ -79,7 +79,7 @@ func TestCacheMemoizesAndCounts(t *testing.T) {
 		Variant:  workloads.VariantNaive,
 		Level:    gpu.PatchAPI,
 	}
-	e := engine.New(engine.Config{Sequential: true})
+	e := engine.New(engine.Config{Workers: 1})
 	first, err := e.Run([]engine.RunSpec{spec, spec, spec})
 	if err != nil {
 		t.Fatal(err)

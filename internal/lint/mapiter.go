@@ -9,8 +9,8 @@ import (
 
 // mapIterScope lists the module-relative package prefixes in which report
 // or output construction happens, so map-iteration order there would leak
-// into artifacts that must be byte-identical run to run (the determinism
-// contract behind Config.SequentialAnalysis equivalence; DESIGN.md §4.1).
+// into artifacts that must be byte-identical run to run and at any
+// GOMAXPROCS (the determinism contract; DESIGN.md §4.1).
 var mapIterScope = []string{
 	"internal/core",
 	"internal/advisor",
@@ -30,8 +30,8 @@ var mapIterScope = []string{
 // MapIter flags `range` statements over maps whose bodies feed
 // order-sensitive sinks — slice appends, string building, formatted output,
 // channel sends — because Go map iteration order is randomized and the
-// offline pipeline's reports must be byte-identical to the sequential
-// pipeline's. Two idioms are exempt:
+// offline pipeline's reports must be byte-identical at GOMAXPROCS=1 and at
+// the default. Two idioms are exempt:
 //
 //   - appending into a slice that is sorted later in the same function
 //     (the collect-keys-then-sort pattern), including via helpers whose

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"drgpum/internal/core"
@@ -16,7 +17,7 @@ import (
 // observedRun profiles the named workload with self-observability enabled
 // and returns the report's stats text and GUI export bytes — the two
 // obs-bearing sinks that must be byte-identical across runs.
-func observedRun(t *testing.T, name string, sequential bool) (stats, guiJSON []byte) {
+func observedRun(t *testing.T, name string) (stats, guiJSON []byte) {
 	t.Helper()
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -25,7 +26,6 @@ func observedRun(t *testing.T, name string, sequential bool) (stats, guiJSON []b
 	dev := gpu.NewDevice(gpu.SpecRTX3090())
 	cfg := core.IntraObjectConfig()
 	cfg.KernelWhitelist = w.IntraKernels
-	cfg.SequentialAnalysis = sequential
 	cfg.Obs = obs.New()
 	prof := core.Attach(dev, cfg)
 	if err := w.Run(dev, prof, workloads.VariantNaive); err != nil {
@@ -44,25 +44,28 @@ func observedRun(t *testing.T, name string, sequential bool) (stats, guiJSON []b
 
 // TestObsOutputDeterminism pins that the self-observability sinks carry no
 // clock- or scheduling-derived bytes: two runs of the same workload — and
-// a sequential-analysis run of it — produce byte-identical Report.Stats
-// text and byte-identical GUI exports (obs track included).
+// a run of it at GOMAXPROCS=1 — produce byte-identical Report.Stats text
+// and byte-identical GUI exports (obs track included).
 func TestObsOutputDeterminism(t *testing.T) {
 	for _, name := range []string{"simplemulticopy", "rodinia/huffman"} {
 		t.Run(name, func(t *testing.T) {
-			stats1, gui1 := observedRun(t, name, false)
-			stats2, gui2 := observedRun(t, name, false)
+			stats1, gui1 := observedRun(t, name)
+			stats2, gui2 := observedRun(t, name)
 			if !bytes.Equal(stats1, stats2) {
 				t.Errorf("two runs' stats differ:\n--- first\n%s--- second\n%s", stats1, stats2)
 			}
 			if !bytes.Equal(gui1, gui2) {
 				t.Errorf("two runs' GUI exports differ (%d vs %d bytes)", len(gui1), len(gui2))
 			}
-			statsSeq, guiSeq := observedRun(t, name, true)
+			// Last in the subtest: the pin lasts until it ends.
+			prev := runtime.GOMAXPROCS(1)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			statsSeq, guiSeq := observedRun(t, name)
 			if !bytes.Equal(stats1, statsSeq) {
-				t.Errorf("concurrent and sequential analysis stats differ:\n--- parallel\n%s--- sequential\n%s", stats1, statsSeq)
+				t.Errorf("default and GOMAXPROCS=1 stats differ:\n--- default\n%s--- GOMAXPROCS=1\n%s", stats1, statsSeq)
 			}
 			if !bytes.Equal(gui1, guiSeq) {
-				t.Errorf("concurrent and sequential GUI exports differ (%d vs %d bytes)", len(gui1), len(guiSeq))
+				t.Errorf("default and GOMAXPROCS=1 GUI exports differ (%d vs %d bytes)", len(gui1), len(guiSeq))
 			}
 		})
 	}
@@ -87,7 +90,11 @@ func engineBatch(t *testing.T, sequential bool) (stats [][]byte, spans []byte, m
 		})
 	}
 	master = obs.New()
-	eng := engine.New(engine.Config{Sequential: sequential, Obs: master})
+	cfg := engine.Config{Obs: master}
+	if sequential {
+		cfg.Workers = 1
+	}
+	eng := engine.New(cfg)
 	results, err := eng.Run(specs)
 	if err != nil {
 		t.Fatal(err)
