@@ -1,6 +1,5 @@
 // Package costmodel implements a deterministic, closed-form memory-
-// hierarchy cost model for the simulated GPU (ROADMAP item 3, DESIGN.md
-// §4.9).
+// hierarchy cost model for the simulated GPU (DESIGN.md §4.9).
 //
 // The model converts the per-object access streams the simulator already
 // records into the quantities that dominate realized GPU memory cost:
@@ -18,14 +17,19 @@
 //
 // Everything is integer arithmetic over the recorded addresses — no
 // clocks, no randomness — so the model is byte-identical across the
-// sequential, parallel and streaming profiling modes: the simulator
-// executes kernel bodies synchronously on the calling goroutine in every
-// mode, and the tracker only ever runs there.
+// offline and streaming profiling modes: the simulator executes kernel
+// bodies synchronously on the calling goroutine in every mode, and the
+// device's one tracker only ever runs there.
 //
 // The package is deliberately pure: it knows nothing about the gpu or
 // trace packages (addresses are plain uint64), which is what lets the
 // device's hot access path embed a Tracker without an import cycle.
 package costmodel
+
+import (
+	"math/bits"
+	"slices"
+)
 
 // Spec parameterizes the cost model for one device. The zero value is
 // not usable; obtain one from SpecFor so every field is populated (the
@@ -207,9 +211,16 @@ type KernelCost struct {
 // replacement, tracked at line granularity.
 type Cache struct {
 	sets, ways int
-	tags       []uint64 // sets*ways, line IDs (+1 so 0 means empty)
-	stamps     []uint64 // LRU clocks, parallel to tags
+	pow2       bool  // sets is a power of two: the set index is a mask
+	slots      []way // sets*ways, set-major
 	tick       uint64
+}
+
+// way is one cache slot; a set's ways are adjacent, so a 4-way probe
+// reads one 64-byte block.
+type way struct {
+	tag   uint64 // line ID + 1, so 0 means empty
+	stamp uint64 // LRU clock of the last touch
 }
 
 // NewCache builds an empty cache.
@@ -220,125 +231,225 @@ func NewCache(sets, ways int) *Cache {
 	if ways < 1 {
 		ways = 1
 	}
-	return &Cache{sets: sets, ways: ways, tags: make([]uint64, sets*ways), stamps: make([]uint64, sets*ways)}
+	return &Cache{sets: sets, ways: ways, pow2: isPow2(uint64(sets)), slots: make([]way, sets*ways)}
 }
 
 // Access probes the cache for a line ID, inserting it (with LRU
 // eviction) on a miss. Returns whether the probe hit.
 func (c *Cache) Access(line uint64) bool {
 	c.tick++
-	set := int(line % uint64(c.sets))
-	base := set * c.ways
+	var set int
+	if c.pow2 {
+		set = int(line & uint64(c.sets-1))
+	} else {
+		set = int(line % uint64(c.sets))
+	}
+	ways := c.slots[set*c.ways : (set+1)*c.ways]
 	tag := line + 1
-	victim, oldest := base, ^uint64(0)
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == tag {
-			c.stamps[i] = c.tick
+	victim, oldest := 0, ^uint64(0)
+	for i := range ways {
+		w := &ways[i]
+		if w.tag == tag {
+			w.stamp = c.tick
 			return true
 		}
-		if c.tags[i] == 0 {
+		if w.tag == 0 {
 			// Prefer an empty way; stamp 0 is older than any real entry.
 			if oldest != 0 {
 				victim, oldest = i, 0
 			}
 			continue
 		}
-		if c.stamps[i] < oldest {
-			victim, oldest = i, c.stamps[i]
+		if w.stamp < oldest {
+			victim, oldest = i, w.stamp
 		}
 	}
-	c.tags[victim] = tag
-	c.stamps[victim] = c.tick
+	ways[victim] = way{tag: tag, stamp: c.tick}
 	return false
 }
 
-// Reset empties the cache without reallocating.
+// Reset empties the cache without reallocating. A cache that has not
+// been probed since it was built or last reset is already empty.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamps[i] = 0
+	if c.tick == 0 {
+		return
 	}
+	clear(c.slots)
 	c.tick = 0
 }
 
 // entryState is the per-hit-table-entry coalescing state of one launch:
-// the current (unflushed) warp group plus the running cost totals.
+// the current (unflushed) warp group plus the running cost totals. The
+// fields an access touches come first, so an access that lands in the
+// sector it last touched stays within one cache line; the sector
+// scratch follows.
 type entryState struct {
-	n       int // accesses in the current group
-	bytes   uint64
-	sectors [64]uint64 // distinct sector IDs in the current group
-	ns      int
-	cost    ObjectCost
+	n        int32 // accesses in the current group
+	ns       int32 // distinct sectors in sectors[:ns]
+	touched  bool  // listed in Tracker.touched this launch
+	bytes    uint64
+	lastBase uint64 // first byte of the sector last touched; known to the group when ns > 0
+	cost     ObjectCost
+	sectors  [64]uint64 // distinct sector IDs in the current group
 }
 
-// Tracker accumulates the cost model for one kernel launch. It is bound
-// to the launch's hit table (one entryState per entry), a fresh L1, and
-// the device's persistent L2.
+// Tracker accumulates the cost model for one kernel launch at a time.
+// It is bound to the device's persistent L2 and owns a private L1 and
+// one entryState per hit-table entry; Reset rebinds it to the next
+// launch's hit table without reallocating.
 type Tracker struct {
 	spec    Spec
 	l1      *Cache
 	l2      *Cache
 	entries []entryState
 	touched []int32 // entry indices with accesses, in first-touch order
+
+	// When SectorBytes and LineBytes/SectorBytes are both powers of two
+	// (SpecFor always gives that), sector and line IDs are shifts;
+	// otherwise they are divisions by sectorBytes and sectorsPerLine.
+	shifts         bool
+	sectorShift    uint
+	lineShift      uint
+	sectorBytes    uint64
+	sectorsPerLine uint64
 }
 
-// NewTracker prepares cost accounting for a launch over a hit table of
-// the given size. l2 is the device's persistent cache (may be shared
-// across launches; the tracker only runs on the launching goroutine).
-// The caller should reuse the returned tracker for exactly one launch.
+// NewTracker prepares cost accounting over a hit table of the given
+// size. l2 is the device's persistent cache (shared across launches;
+// the tracker only runs on the launching goroutine). Call Reset before
+// each further launch.
 func NewTracker(spec Spec, l2 *Cache, entries int) *Tracker {
-	return &Tracker{
-		spec:    spec,
-		l1:      NewCache(spec.L1Sets, spec.L1Ways),
-		l2:      l2,
-		entries: make([]entryState, entries),
+	t := &Tracker{
+		spec:        spec,
+		l1:          NewCache(spec.L1Sets, spec.L1Ways),
+		l2:          l2,
+		entries:     make([]entryState, entries),
+		sectorBytes: spec.SectorBytes,
 	}
+	t.sectorsPerLine = 1
+	if spec.SectorBytes != 0 && spec.LineBytes/spec.SectorBytes != 0 {
+		t.sectorsPerLine = spec.LineBytes / spec.SectorBytes
+	}
+	if isPow2(t.sectorBytes) && isPow2(t.sectorsPerLine) {
+		t.shifts = true
+		t.sectorShift = log2(t.sectorBytes)
+		t.lineShift = log2(t.sectorsPerLine)
+	}
+	return t
+}
+
+// Reset readies the tracker for a new launch over a hit table of the
+// given size: it zeroes the entries the previous launch touched (the
+// rest are still zero) and empties the L1. The L2 keeps its contents.
+func (t *Tracker) Reset(entries int) {
+	for _, e := range t.touched {
+		st := &t.entries[e]
+		st.n, st.ns, st.touched = 0, 0, false
+		st.bytes, st.lastBase = 0, 0
+		st.cost = ObjectCost{}
+	}
+	t.touched = t.touched[:0]
+	t.entries = slices.Grow(t.entries[:0], entries)[:entries]
+	t.l1.Reset()
+}
+
+// sector returns the sector ID of a byte address.
+func (t *Tracker) sector(addr uint64) uint64 {
+	if t.shifts {
+		return addr >> (t.sectorShift & 63) // the mask drops Go's ≥64 shift check
+	}
+	return addr / t.sectorBytes
+}
+
+// line returns the cache-line ID of a sector ID.
+func (t *Tracker) line(sector uint64) uint64 {
+	if t.shifts {
+		return sector >> (t.lineShift & 63)
+	}
+	return sector / t.sectorsPerLine
 }
 
 // Access records one memory instruction against a hit-table entry. This
-// sits on the simulator's hot access path: constant work plus a scan of
-// the ≤64 distinct sectors of the current warp group.
+// sits on the simulator's hot access path. An access inside the sector
+// the entry last touched that does not close the group takes the fast
+// path: two counters on the entry's first cache line, no scan.
 func (t *Tracker) Access(entry int, addr uint64, size uint32) {
 	st := &t.entries[entry]
-	if st.n == 0 && st.cost.Accesses == 0 {
+	if off := addr - st.lastBase; st.ns > 0 && off < t.sectorBytes &&
+		uint64(size) <= t.sectorBytes-off && int(st.n)+1 < t.spec.WarpSize {
+		st.n++
+		st.bytes += uint64(size)
+		return
+	}
+	t.access(st, entry, addr, size)
+}
+
+// access is Access's general path: it adds the access's sectors to the
+// group's ascending distinct set and closes a full group.
+func (t *Tracker) access(st *entryState, entry int, addr uint64, size uint32) {
+	if !st.touched {
+		st.touched = true
 		t.touched = append(t.touched, int32(entry))
 	}
-	st.cost.Accesses++
 	st.n++
 	st.bytes += uint64(size)
-	first := addr / t.spec.SectorBytes
+	first := t.sector(addr)
 	last := first
 	if size > 0 {
-		last = (addr + uint64(size) - 1) / t.spec.SectorBytes
+		last = t.sector(addr + uint64(size) - 1)
 	}
-	for s := first; s <= last; s++ {
-		known := false
-		for i := 0; i < st.ns; i++ {
-			if st.sectors[i] == s {
-				known = true
-				break
-			}
-		}
-		if !known && st.ns < len(st.sectors) {
-			st.sectors[st.ns] = s
-			st.ns++
-		}
-	}
-	if st.n >= t.spec.WarpSize {
+	t.addSectors(st, first, last)
+	if int(st.n) >= t.spec.WarpSize {
 		t.flush(st)
 	}
 }
 
-// flush closes one warp group: counts its transactions against the
-// ideal, probes the hierarchy once per distinct sector (ascending, for
-// a deterministic replacement order), and resets the group.
+// addSectors adds the sectors first..last to the group's distinct set,
+// kept ascending by insertion, dropping new ones once the 64-slot
+// scratch is full. st.lastBase ends at last's first byte; last is then
+// in the set or was dropped, so a repeat of it changes nothing either
+// way.
+func (t *Tracker) addSectors(st *entryState, first, last uint64) {
+	for s := first; s <= last; s++ {
+		base := s * t.sectorBytes
+		set := st.sectors[:st.ns]
+		switch {
+		case st.ns > 0 && base == st.lastBase:
+			// A repeat of the previous sector.
+		case st.ns == 0 || s > set[st.ns-1]:
+			// Past the maximum: new, appended in order.
+			if int(st.ns) < len(st.sectors) {
+				st.sectors[st.ns] = s
+				st.ns++
+			}
+		default:
+			// s ≤ the maximum: find its slot.
+			lo := 0
+			for set[lo] < s {
+				lo++
+			}
+			if set[lo] != s && int(st.ns) < len(st.sectors) {
+				copy(st.sectors[lo+1:st.ns+1], set[lo:])
+				st.sectors[lo] = s
+				st.ns++
+			}
+		}
+		st.lastBase = base
+	}
+}
+
+// flush closes one warp group: counts its accesses and transactions
+// against the ideal, probes the hierarchy once per distinct sector
+// (ascending, for a deterministic replacement order), and resets the
+// group.
 func (t *Tracker) flush(st *entryState) {
 	if st.n == 0 {
 		return
 	}
+	st.cost.Accesses += uint64(st.n)
 	st.cost.Warps++
 	st.cost.Transactions += uint64(st.ns)
-	ideal := (st.bytes + t.spec.SectorBytes - 1) / t.spec.SectorBytes
+	ideal := t.sector(st.bytes + t.sectorBytes - 1)
 	if ideal > uint64(st.ns) {
 		ideal = uint64(st.ns)
 	}
@@ -347,19 +458,18 @@ func (t *Tracker) flush(st *entryState) {
 	}
 	st.cost.IdealTransactions += ideal
 
-	// Ascending sector order keeps cache insertion deterministic and
-	// groups same-line sectors together, so a 128-byte line's four
+	// Ascending sector order (addSectors inserts in order) keeps cache
+	// insertion deterministic and groups same-line sectors together, so a 128-byte line's four
 	// sectors cost one fill plus three L1 hits — the hardware shape.
+	// A sector on the previous sector's line is an L1 hit without a
+	// probe: that probe left the line resident and most recent, so
+	// probing again could not change any LRU decision.
 	sectors := st.sectors[:st.ns]
-	sortU64(sectors)
-	sectorsPerLine := t.spec.LineBytes / t.spec.SectorBytes
-	if sectorsPerLine == 0 {
-		sectorsPerLine = 1
-	}
-	for _, s := range sectors {
-		line := s / sectorsPerLine
+	var prev uint64
+	for i, s := range sectors {
+		line := t.line(s)
 		switch {
-		case t.l1.Access(line):
+		case i > 0 && line == prev, t.l1.Access(line):
 			st.cost.L1Hits++
 			st.cost.ModeledCycles += t.spec.L1HitCycles
 		case t.l2 != nil && t.l2.Access(line):
@@ -369,6 +479,7 @@ func (t *Tracker) flush(st *entryState) {
 			st.cost.MemTransactions++
 			st.cost.ModeledCycles += t.spec.DRAMCycles
 		}
+		prev = line
 	}
 	st.n = 0
 	st.bytes = 0
@@ -379,7 +490,7 @@ func (t *Tracker) flush(st *entryState) {
 // KernelCost. base resolves a hit-table entry index to its range base
 // address. Entries are emitted in hit-table (address) order.
 func (t *Tracker) Finish(base func(entry int) uint64) *KernelCost {
-	sort32(t.touched)
+	slices.Sort(t.touched)
 	kc := &KernelCost{}
 	for _, e := range t.touched {
 		st := &t.entries[e]
@@ -393,20 +504,7 @@ func (t *Tracker) Finish(base func(entry int) uint64) *KernelCost {
 	return kc
 }
 
-// sortU64 is an insertion sort for the ≤64-element sector scratch —
-// cheaper than sort.Slice at this size and dependency-free.
-func sortU64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
+func isPow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }
 
-func sort32(v []int32) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
+// log2 returns the exponent of a power of two.
+func log2(v uint64) uint { return uint(bits.TrailingZeros64(v)) }

@@ -142,14 +142,14 @@ type Device struct {
 
 	batch []MemAccess
 
-	// costSpec/costL2 carry the memory-hierarchy cost model when enabled:
-	// per-launch trackers derive from costSpec and share the persistent
-	// costL2. Both are only touched on the launching goroutine (kernel
-	// bodies always execute inline), which keeps the model byte-identical
-	// across the sequential/streaming profiling modes.
-	costOn   bool
-	costSpec costmodel.Spec
-	costL2   *costmodel.Cache
+	// costSpec/costTracker carry the memory-hierarchy cost model when
+	// enabled (costTracker is nil when it is off): one tracker, reset per
+	// launch, owns the per-launch L1 and the persistent L2. It is only
+	// touched on the launching goroutine (kernel bodies always execute
+	// inline), which keeps the model byte-identical across the offline
+	// and streaming profiling modes.
+	costSpec    costmodel.Spec
+	costTracker *costmodel.Tracker
 }
 
 type seqKey struct {
@@ -232,20 +232,20 @@ func (d *Device) SetCostModel(spec costmodel.Spec) {
 		spec = costmodel.SpecFor(d.spec.Name, d.spec.GlobalLatency, d.spec.CopyBytesPerCycle,
 			d.spec.MallocCycles, d.spec.FreeCycles)
 	}
-	d.costOn = true
 	d.costSpec = spec
-	d.costL2 = costmodel.NewCache(spec.L2Sets, spec.L2Ways)
+	d.costTracker = costmodel.NewTracker(spec, costmodel.NewCache(spec.L2Sets, spec.L2Ways), 0)
 }
 
 // DisableCostModel turns the cost model off for subsequent launches.
+// The tracker and its L2 are dropped, so a later SetCostModel starts
+// from a cold L2.
 func (d *Device) DisableCostModel() {
-	d.costOn = false
-	d.costL2 = nil
+	d.costTracker = nil
 }
 
 // CostModelSpec returns the active cost-model parameters and whether the
 // model is enabled.
-func (d *Device) CostModelSpec() (costmodel.Spec, bool) { return d.costSpec, d.costOn }
+func (d *Device) CostModelSpec() (costmodel.Spec, bool) { return d.costSpec, d.costTracker != nil }
 
 // SetLiveRangesProvider overrides the source of the live-object table used
 // by the kernel hit-flag scheme. By default the allocator's live blocks are

@@ -54,14 +54,15 @@ type ExecContext struct {
 
 	// snapshot of the memory map at launch time, sorted by address.
 	table []hitEntry
-	// addrIndex maps a block base address to its table row, so the common
+	// lastEntry is the table row of the previous access, so the common
 	// case (repeated access to the same object) avoids re-searching.
 	lastEntry int
 
 	instrumented bool
 	hostTrace    bool // ObjectIDHostTrace mode: ship every access to the host
 
-	// cost, when non-nil, runs the memory-hierarchy cost model over this
+	// cost, when non-nil, is the device's cost-model tracker, reset for
+	// this launch: it runs the memory-hierarchy cost model over the
 	// launch's accesses, keyed by hit-table entry (see Device.SetCostModel).
 	cost *costmodel.Tracker
 
@@ -342,8 +343,9 @@ func (d *Device) Launch(stream *Stream, k Kernel, grid, block Dim3) error {
 			for i, r := range live {
 				ctx.table[i] = hitEntry{rng: r}
 			}
-			if d.costOn && len(ctx.table) > 0 {
-				ctx.cost = costmodel.NewTracker(d.costSpec, d.costL2, len(ctx.table))
+			if d.costTracker != nil && len(ctx.table) > 0 {
+				d.costTracker.Reset(len(ctx.table))
+				ctx.cost = d.costTracker
 			}
 		}
 		if d.patch == PatchFull {

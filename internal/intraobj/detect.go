@@ -1,6 +1,8 @@
 package intraobj
 
 import (
+	"math"
+
 	"drgpum/internal/pattern"
 )
 
@@ -129,28 +131,51 @@ func nuafVariation(st *objState) float64 {
 	if st.sealed != nil {
 		return st.sealed.nuaf
 	}
-	var samples []float64
-	if st.structured() {
-		samples = make([]float64, 0, len(st.sliceTotals))
+	// The samples are the per-slice totals of a structured object, else
+	// the nonzero per-element frequencies. Both passes walk them in place,
+	// in the same order, so no sample slice the size of the object is
+	// built.
+	structured := st.structured()
+	var n int
+	var sum float64
+	if structured {
+		n = len(st.sliceTotals)
 		for _, t := range st.sliceTotals {
-			samples = append(samples, float64(t))
+			sum += float64(t)
 		}
 	} else {
 		for _, f := range st.totalFreq {
 			if f > 0 {
-				samples = append(samples, float64(f))
+				n++
+				sum += float64(f)
 			}
 		}
 	}
-	if len(samples) < 2 {
+	if n < 2 {
 		return 0
 	}
-	var sum float64
-	for _, s := range samples {
-		sum += s
+	mean := sum / float64(n)
+	if mean == 0 {
+		return 0
 	}
-	mean := sum / float64(len(samples))
-	return excessCV(coefficientOfVariation(samples), mean)
+	var ss float64
+	if structured {
+		for _, t := range st.sliceTotals {
+			d := float64(t) - mean
+			ss += d * d
+		}
+	} else {
+		for _, f := range st.totalFreq {
+			if f > 0 {
+				d := float64(f) - mean
+				ss += d * d
+			}
+		}
+	}
+	// Coefficient of variation in percent: stddev/mean, the paper's
+	// variance metric (§3.2 footnote).
+	cv := math.Sqrt(ss/float64(n)) / mean * 100
+	return excessCV(cv, mean)
 }
 
 // structured reports whether the object satisfies Definition 3.10: at

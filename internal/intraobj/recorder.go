@@ -442,29 +442,6 @@ func (r *Recorder) Flush() {
 	}
 }
 
-// coefficientOfVariation returns stddev/mean of the samples, in percent
-// (the paper's variance metric, §3.2 footnote). A zero mean yields zero.
-func coefficientOfVariation(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, f := range samples {
-		sum += f
-	}
-	mean := sum / float64(len(samples))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, f := range samples {
-		d := f - mean
-		ss += d * d
-	}
-	std := math.Sqrt(ss / float64(len(samples)))
-	return std / mean * 100
-}
-
 // excessCV removes the sampling-noise floor from a coefficient of
 // variation: counts that arise from N independent random draws are
 // Poisson-distributed with CV^2 ~= 1/mean even when the underlying access
